@@ -15,7 +15,8 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
+from enum import Enum
 from pathlib import Path
 from typing import Mapping
 
@@ -47,6 +48,8 @@ from .metabolism import (
 from .stats import RegressionFit, p_value_t, significance_stars
 
 TREND_ITEMS = ("total_revenue", "cost_of_personnel", "total_cost")
+# A fit's CSV fields: every field but the per-observation residuals.
+_FIT_CSV_FIELDS = tuple(f.name for f in fields(RegressionFit) if f.name != "residuals")
 FIGURE_IDS = ("fig1", "fig2", "fig3", "fig4", "figA1", "figA2", "figA3")
 OUTPUT_FORMATS = ("text", "json", "csv")
 
@@ -78,6 +81,8 @@ class ReportConfig:
             raise DomainError("alpha must be in (0, 1)")
         if self.output_format not in OUTPUT_FORMATS:
             raise DomainError(f"unknown output format '{self.output_format}'")
+        if len(self.delimiter) != 1:
+            raise DomainError(f"delimiter must be one character, got {self.delimiter!r}")
 
 
 @dataclass(frozen=True)
@@ -176,6 +181,31 @@ def _share_series(points: tuple[MetabolismPoint, ...]) -> Series:
 # Rendering
 
 
+def _fields(result) -> dict:
+    """A result's fields by name in declaration order, shared, not copied.
+
+    Enum members become their values; tuples, such as a fit's residuals,
+    are passed on as they are.
+    """
+    payload = {}
+    for field in fields(result):
+        value = getattr(result, field.name)
+        payload[field.name] = value.value if isinstance(value, Enum) else value
+    return payload
+
+
+def _json(payload) -> str:
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def _csv(header: list[str], rows) -> str:
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buffer.getvalue()
+
+
 def _p_text(p: float) -> str:
     return "<0.001" if p < 0.001 else f"{p:.3f}"
 
@@ -205,18 +235,12 @@ def _columns(rows: list[tuple[str, ...]]) -> str:
 def render_table(fits: Mapping[str, RegressionFit], output_format: str = "text") -> str:
     """Render OLS fits as a table: estimate, (se), stars, std.coef, R2, F (p)."""
     if output_format == "json":
-        return json.dumps({item: asdict(fit) for item, fit in fits.items()},
-                          sort_keys=True, indent=2) + "\n"
+        return _json({item: _fields(fit) for item, fit in fits.items()})
     if output_format == "csv":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(["item", "field", "value"])
-        for item, fit in fits.items():
-            for field in ("n", "intercept", "slope", "se_intercept", "se_slope",
-                          "standardized_slope", "r_squared", "f_statistic",
-                          "p_slope", "p_f", "degenerate", "exact_fit"):
-                writer.writerow([item, field, repr(getattr(fit, field))])
-        return buffer.getvalue()
+        return _csv(["item", "field", "value"], (
+            [item, field, repr(getattr(fit, field))]
+            for item, fit in fits.items() for field in _FIT_CSV_FIELDS
+        ))
     if output_format != "text":
         raise DomainError(f"unknown output format '{output_format}'")
     rows = [("item", "intercept (se)", "slope (se)", "std.coef", "R2", "F (p)")]
@@ -364,64 +388,54 @@ def render_report_text(report: Report) -> str:
     return "\n".join(parts) + "\n"
 
 
-def _allometric_dict(fit: AllometricFit) -> dict:
-    payload = asdict(fit)
-    payload["classification"] = fit.classification.value
-    return payload
-
-
 def report_to_json(report: Report) -> str:
     """Full-precision JSON with fixed key order; byte-deterministic."""
-    payload = {
-        "trend": {item: asdict(fit) for item, fit in report.trend_table.items()},
-        "growth": {item: asdict(rate) for item, rate in report.growth_table.items()},
-        "allometric": _allometric_dict(report.allometric_table),
+    return _json({
+        "trend": {item: _fields(fit) for item, fit in report.trend_table.items()},
+        "growth": {item: _fields(rate) for item, rate in report.growth_table.items()},
+        "allometric": _fields(report.allometric_table),
         "metabolism": {
             "numerator": report.config.numerator_item,
             "denominator": report.config.denominator_item,
-            "points": [asdict(p) for p in report.metabolism_series],
-            "other_costs_points": [asdict(p) for p in report.other_costs_share],
+            "points": [_fields(p) for p in report.metabolism_series],
+            "other_costs_points": [_fields(p) for p in report.other_costs_share],
         },
-        "crossings": [asdict(c) for c in report.crossings],
+        "crossings": [_fields(c) for c in report.crossings],
         "mean_costs": {
-            "items": {item: asdict(d) for item, d in report.mean_costs.by_item.items()},
+            "items": {item: _fields(d) for item, d in report.mean_costs.by_item.items()},
             "omitted": list(report.mean_costs.omitted),
         },
-        "validation": [asdict(f) for f in report.validation_findings],
-    }
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        "validation": [_fields(f) for f in report.validation_findings],
+    })
+
+
+def _report_rows(report: Report):
+    numerator = report.config.numerator_item
+    for item, fit in report.trend_table.items():
+        for field in _FIT_CSV_FIELDS:
+            yield ["trend", item, field, repr(getattr(fit, field))]
+    for item, rate in report.growth_table.items():
+        for field, value in _fields(rate).items():
+            yield ["growth", item, field, repr(value)]
+    for field, value in _fields(report.allometric_table).items():
+        yield ["allometric", numerator, field, repr(value)]
+    for point in report.metabolism_series:
+        yield ["metabolism", numerator, str(point.year), repr(point.share_percent)]
+    for point in report.other_costs_share:
+        yield ["metabolism", "other_costs", str(point.year), repr(point.share_percent)]
+    for crossing in report.crossings:
+        yield ["crossings", f"{crossing.start_year}-{crossing.end_year}",
+               "crossing_year", repr(crossing.crossing_year)]
+    for item, d in report.mean_costs.by_item.items():
+        for field, value in _fields(d).items():
+            yield ["mean_costs", item, field, repr(value)]
+    for finding in report.validation_findings:
+        yield ["validation", finding.kind, str(finding.year), finding.message]
 
 
 def report_to_csv(report: Report) -> str:
     """Long-format CSV: section,item,field,value at full precision."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["section", "item", "field", "value"])
-    for item, fit in report.trend_table.items():
-        for field, value in asdict(fit).items():
-            if field == "residuals":
-                continue
-            writer.writerow(["trend", item, field, repr(value)])
-    for item, rate in report.growth_table.items():
-        for field, value in asdict(rate).items():
-            writer.writerow(["growth", item, field, repr(value)])
-    for field, value in _allometric_dict(report.allometric_table).items():
-        writer.writerow(["allometric", report.config.numerator_item, field, repr(value)])
-    for point in report.metabolism_series:
-        writer.writerow(["metabolism", report.config.numerator_item,
-                         str(point.year), repr(point.share_percent)])
-    for point in report.other_costs_share:
-        writer.writerow(["metabolism", "other_costs", str(point.year),
-                         repr(point.share_percent)])
-    for crossing in report.crossings:
-        writer.writerow(["crossings", f"{crossing.start_year}-{crossing.end_year}",
-                         "crossing_year", repr(crossing.crossing_year)])
-    for item, d in report.mean_costs.by_item.items():
-        for field, value in asdict(d).items():
-            writer.writerow(["mean_costs", item, field, repr(value)])
-    for finding in report.validation_findings:
-        writer.writerow(["validation", finding.kind, str(finding.year), finding.message])
-    return buffer.getvalue()
+    return _csv(["section", "item", "field", "value"], _report_rows(report))
 
 
 # ---------------------------------------------------------------------------
@@ -477,17 +491,13 @@ def emit_figure_data(report: Report, figure_id: str, output_dir: Path) -> Path:
     The file is written to a temporary name and renamed into place, so a
     failure never leaves a partial file behind.
     """
-    header, rows = _figure_rows(report, figure_id)
+    text = _csv(*_figure_rows(report, figure_id))
     output_dir = Path(output_dir)
     path = output_dir / f"{figure_id}.csv"
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
     tmp_path = output_dir / f".{figure_id}.csv.tmp"
     try:
         with open(tmp_path, "w", encoding="utf-8", newline="") as stream:
-            stream.write(buffer.getvalue())
+            stream.write(text)
         os.replace(tmp_path, path)
     except OSError:
         tmp_path.unlink(missing_ok=True)
@@ -565,8 +575,7 @@ def _config_from_args(args: argparse.Namespace) -> ReportConfig:
 def _fits_output(payload_key: str, fits: Mapping[str, RegressionFit],
                  output_format: str) -> str:
     if output_format == "json":
-        return json.dumps({payload_key: {i: asdict(f) for i, f in fits.items()}},
-                          sort_keys=True, indent=2) + "\n"
+        return _json({payload_key: {i: _fields(f) for i, f in fits.items()}})
     return render_table(fits, output_format)
 
 
@@ -603,16 +612,12 @@ def _run_command(command: str, config: ReportConfig, args: argparse.Namespace) -
         items = tuple(getattr(args, "items", None) or TREND_ITEMS)
         growth = {item: _growth_over_period(ledger, item, config.period) for item in items}
         if config.output_format == "json":
-            return json.dumps({"growth": {i: asdict(g) for i, g in growth.items()}},
-                              sort_keys=True, indent=2) + "\n"
+            return _json({"growth": {i: _fields(g) for i, g in growth.items()}})
         if config.output_format == "csv":
-            buffer = io.StringIO()
-            writer = csv.writer(buffer, lineterminator="\n")
-            writer.writerow(["item", "field", "value"])
-            for item, rate in growth.items():
-                for field, value in asdict(rate).items():
-                    writer.writerow([item, field, repr(value)])
-            return buffer.getvalue()
+            return _csv(["item", "field", "value"], (
+                [item, field, repr(value)]
+                for item, rate in growth.items() for field, value in _fields(rate).items()
+            ))
         return _render_growth_text(growth)
 
     if command == "metabolism":
@@ -620,18 +625,14 @@ def _run_command(command: str, config: ReportConfig, args: argparse.Namespace) -
             ledger, config.numerator_item, config.denominator_item, config.period
         )
         if config.output_format == "json":
-            return json.dumps({"metabolism": {
+            return _json({"metabolism": {
                 "numerator": config.numerator_item,
                 "denominator": config.denominator_item,
-                "points": [asdict(p) for p in points],
-            }}, sort_keys=True, indent=2) + "\n"
+                "points": [_fields(p) for p in points],
+            }})
         if config.output_format == "csv":
-            buffer = io.StringIO()
-            writer = csv.writer(buffer, lineterminator="\n")
-            writer.writerow(["year", "share_percent"])
-            for point in points:
-                writer.writerow([point.year, repr(point.share_percent)])
-            return buffer.getvalue()
+            return _csv(["year", "share_percent"],
+                        ([p.year, repr(p.share_percent)] for p in points))
         rows = [("year", "share_percent")]
         rows += [(str(p.year), f"{p.share_percent:.2f}") for p in points]
         return _columns(rows) + "\n"
@@ -642,15 +643,10 @@ def _run_command(command: str, config: ReportConfig, args: argparse.Namespace) -
             config.period, config.alpha,
         )
         if config.output_format == "json":
-            return json.dumps({"allometric": _allometric_dict(fit)},
-                              sort_keys=True, indent=2) + "\n"
+            return _json({"allometric": _fields(fit)})
         if config.output_format == "csv":
-            buffer = io.StringIO()
-            writer = csv.writer(buffer, lineterminator="\n")
-            writer.writerow(["field", "value"])
-            for field, value in _allometric_dict(fit).items():
-                writer.writerow([field, repr(value)])
-            return buffer.getvalue()
+            return _csv(["field", "value"],
+                        ([field, repr(value)] for field, value in _fields(fit).items()))
         return _render_allometric_text(fit, config.numerator_item, config.denominator_item)
 
     if command == "crossover":
@@ -660,16 +656,11 @@ def _run_command(command: str, config: ReportConfig, args: argparse.Namespace) -
         other = metabolism_index(ledger, "other_costs", config.denominator_item, config.period)
         crossings = crossover_years(_share_series(personnel), _share_series(other))
         if config.output_format == "json":
-            return json.dumps({"crossings": [asdict(c) for c in crossings]},
-                              sort_keys=True, indent=2) + "\n"
+            return _json({"crossings": [_fields(c) for c in crossings]})
         if config.output_format == "csv":
-            buffer = io.StringIO()
-            writer = csv.writer(buffer, lineterminator="\n")
-            writer.writerow(["start_year", "end_year", "crossing_year"])
-            for crossing in crossings:
-                writer.writerow([crossing.start_year, crossing.end_year,
-                                 repr(crossing.crossing_year)])
-            return buffer.getvalue()
+            return _csv(["start_year", "end_year", "crossing_year"], (
+                [c.start_year, c.end_year, repr(c.crossing_year)] for c in crossings
+            ))
         return _render_crossings_text(crossings)
 
     raise DomainError(f"unknown command '{command}'")

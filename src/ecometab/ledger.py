@@ -10,14 +10,16 @@ of exact lowercase column names:
 
 ``currency`` is ``EUR`` or ``ITL``; pre-euro lira amounts are converted at
 the fixed ECB rate of 1936.27 lire per euro. A blank cell means "not
-reported" and is never conflated with zero. Numbers use a ``.`` decimal
-separator and no thousands separators.
+reported" and is never conflated with zero. Numbers and years are ASCII
+digits: a ``.`` decimal separator, no thousands separators, no ``_``
+digit grouping. A leading UTF-8 byte-order mark is ignored.
 
 All types here are immutable after construction and safe to share across
 threads; parsing is single-threaded per stream.
 """
 
 import csv
+import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Iterator, TextIO
@@ -58,6 +60,7 @@ REQUIRED_COLUMNS = ("year", "currency", "total_revenue", "cost_of_personnel", "t
 
 # Every monetary item, in canonical order.
 MONEY_ITEMS = COLUMNS[2:]
+_MONEY_ITEM_SET = frozenset(MONEY_ITEMS)
 
 # Monetary items that must be non-negative (all but the bottom line).
 NONNEGATIVE_ITEMS = tuple(i for i in MONEY_ITEMS if i != "surplus_or_loss")
@@ -118,7 +121,7 @@ class FiscalRecord:
 
     def item(self, name: str) -> float | None:
         """Return a monetary item by column name (``None`` if not reported)."""
-        if name not in MONEY_ITEMS:
+        if name not in _MONEY_ITEM_SET:
             raise DomainError(f"unknown item '{name}'")
         return getattr(self, name)
 
@@ -206,13 +209,41 @@ def normalize_ledger(ledger: LedgerSeries) -> LedgerSeries:
 
 
 def _parse_number(cell: str, row: int, column: str) -> float:
+    # float() also takes "1_000" and non-ASCII digits; the file format does not.
+    if not cell.isascii() or "_" in cell:
+        raise ParseError(f"malformed number {cell!r}", row=row, column=column)
     try:
         value = float(cell)
     except ValueError:
         raise ParseError(f"malformed number {cell!r}", row=row, column=column) from None
-    if value != value or value in (float("inf"), float("-inf")):
+    if not math.isfinite(value):
         raise ParseError(f"non-finite number {cell!r}", row=row, column=column)
     return value
+
+
+def _parse_year(cell: str, row: int) -> int:
+    # int() also takes "1_997" and non-ASCII digits; the file format does not.
+    if cell.isascii() and "_" not in cell:
+        try:
+            return int(cell)
+        except ValueError:
+            pass
+    raise ParseError(f"malformed year {cell!r}", row=row, column="year")
+
+
+def _read_rows(reader) -> Iterator[list[str]]:
+    """Yield a csv reader's rows; undecodable or unreadable input is a ParseError."""
+    while True:
+        try:
+            cells = next(reader)
+        except StopIteration:
+            return
+        except UnicodeDecodeError as exc:
+            # Decoding runs ahead of the reader in blocks, so the row is unknown.
+            raise ParseError(f"input is not valid {exc.encoding}: {exc.reason}") from None
+        except csv.Error as exc:
+            raise ParseError(str(exc), row=reader.line_num) from None
+        yield cells
 
 
 def parse_ledger(stream: TextIO, organization: str = "", delimiter: str = ",") -> LedgerSeries:
@@ -227,15 +258,18 @@ def parse_ledger(stream: TextIO, organization: str = "", delimiter: str = ",") -
         A ``LedgerSeries`` sorted by year with every record converted to EUR.
 
     Raises:
-        ParseError: malformed number, unknown currency code, duplicate year,
-            negative value in a non-negative item, or missing required
-            column, naming the offending row and column.
+        ParseError: malformed number or year, unknown currency code, duplicate
+            year, negative value in a non-negative item, missing required
+            column, or undecodable or unreadable input, naming the offending
+            row and column where known.
     """
     reader = csv.reader(stream, delimiter=delimiter)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ParseError("empty input: missing header row") from None
+    rows = _read_rows(reader)
+    header = next(rows, None)
+    if header is None:
+        raise ParseError("empty input: missing header row")
+    if header:
+        header[0] = header[0].removeprefix("\ufeff")
     header = [name.strip() for name in header]
     seen: set[str] = set()
     for name in header:
@@ -248,46 +282,53 @@ def parse_ledger(stream: TextIO, organization: str = "", delimiter: str = ",") -
         if name not in seen:
             raise ParseError(f"missing required column '{name}'", row=1)
 
+    required = [(name, header.index(name)) for name in REQUIRED_COLUMNS]
+    year_at = header.index("year")
+    currency_at = header.index("currency")
+    money = [
+        (name, header.index(name), name in NONNEGATIVE_ITEMS)
+        for name in MONEY_ITEMS
+        if name in seen
+    ]
+
     records: list[FiscalRecord] = []
     years: set[int] = set()
-    for row_no, cells in enumerate(reader, start=2):
-        if not cells or all(not c.strip() for c in cells):
+    for row_no, cells in enumerate(rows, start=2):
+        cells = [cell.strip() for cell in cells]
+        if not any(cells):
             continue
         if len(cells) != len(header):
             raise ParseError(
                 f"expected {len(header)} fields, found {len(cells)}", row=row_no
             )
-        raw = {name: cell.strip() for name, cell in zip(header, cells)}
 
-        for name in REQUIRED_COLUMNS:
-            if not raw[name]:
+        for name, at in required:
+            if not cells[at]:
                 raise ParseError("missing required value", row=row_no, column=name)
-        try:
-            year = int(raw["year"])
-        except ValueError:
-            raise ParseError(
-                f"malformed year {raw['year']!r}", row=row_no, column="year"
-            ) from None
+        year = _parse_year(cells[year_at], row_no)
         if year in years:
             raise ParseError(f"duplicate year {year}", row=row_no, column="year")
         years.add(year)
         try:
-            currency = Currency(raw["currency"])
+            currency = Currency(cells[currency_at])
         except ValueError:
             raise ParseError(
-                f"unknown currency code {raw['currency']!r}", row=row_no, column="currency"
+                f"unknown currency code {cells[currency_at]!r}", row=row_no, column="currency"
             ) from None
 
-        money: dict[str, float] = {}
-        for name in MONEY_ITEMS:
-            cell = raw.get(name, "")
+        # Lira amounts are converted cell by cell, with the same division
+        # normalize_currency makes, so each row builds one euro record.
+        lire = currency is Currency.ITL
+        amounts: dict[str, float] = {}
+        for name, at, nonnegative in money:
+            cell = cells[at]
             if not cell:
                 continue
             value = _parse_number(cell, row_no, name)
-            if value < 0 and name in NONNEGATIVE_ITEMS:
+            if nonnegative and value < 0:
                 raise ParseError(f"negative value {value!r}", row=row_no, column=name)
-            money[name] = value
-        records.append(normalize_currency(FiscalRecord(year=year, currency=currency, **money)))
+            amounts[name] = value / LIRE_PER_EURO if lire else value
+        records.append(FiscalRecord(year=year, currency=Currency.EUR, **amounts))
 
     if not records:
         raise ParseError("no data rows")
@@ -315,10 +356,10 @@ def extract_series(
     ``period`` is an inclusive (first, last) year window; records outside it
     are dropped. Every record inside the window must report the item.
     """
-    if item not in MONEY_ITEMS:
+    if item not in _MONEY_ITEM_SET:
         raise DomainError(f"unknown item '{item}'")
     if period is None:
-        selected = list(ledger.records)
+        selected = ledger.records
     else:
         start, end = period
         selected = [r for r in ledger.records if start <= r.year <= end]
@@ -326,15 +367,13 @@ def extract_series(
         raise EmptyPeriodError(
             "no records in period" if period is None else f"no records in period {period[0]}-{period[1]}"
         )
-    missing = [r.year for r in selected if r.item(item) is None]
-    if missing:
+    values = tuple(getattr(r, item) for r in selected)
+    if None in values:
+        missing = [r.year for r, value in zip(selected, values) if value is None]
         raise MissingDataError(
             f"'{item}' not reported for years: {', '.join(str(y) for y in missing)}"
         )
-    return Series(
-        tuple(r.year for r in selected),
-        tuple(r.item(item) for r in selected),
-    )
+    return Series(tuple(r.year for r in selected), values)
 
 
 def validate_ledger(ledger: LedgerSeries) -> list[ValidationFinding]:
@@ -346,15 +385,15 @@ def validate_ledger(ledger: LedgerSeries) -> list[ValidationFinding]:
     findings: list[ValidationFinding] = []
     for record in ledger.records:
         for name in NONNEGATIVE_ITEMS:
-            value = record.item(name)
+            value = getattr(record, name)
             if value is not None and value < 0:
                 findings.append(
                     ValidationFinding(
                         "negative_value", record.year, f"{name} is negative ({value!r})"
                     )
                 )
-        components = [record.item(name) for name in PERSONNEL_COMPONENTS]
-        if all(v is not None for v in components):
+        components = [getattr(record, name) for name in PERSONNEL_COMPONENTS]
+        if None not in components:
             total = sum(components)
             reference = record.cost_of_personnel
             if abs(total - reference) > DECOMPOSITION_RTOL * abs(reference):

@@ -250,7 +250,7 @@ def mean_cost_profile(
     by_item: dict[str, Descriptives] = {}
     omitted: list[str] = []
     for item in COST_ITEMS:
-        values = [r.item(item) for r in selected]
+        values = [getattr(r, item) for r in selected]
         if any(v is None for v in values):
             omitted.append(item)
             continue

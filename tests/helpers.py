@@ -1,8 +1,20 @@
 """Shared builders for synthetic ledgers and ledger files."""
 
+import csv
+import io
 import random
+from dataclasses import replace
 
-from ecometab.ledger import COLUMNS, Currency, FiscalRecord, LedgerSeries
+from ecometab.ledger import (
+    COLUMNS,
+    LIRE_PER_EURO,
+    MONEY_ITEMS,
+    Currency,
+    FiscalRecord,
+    LedgerSeries,
+)
+
+VARIANT_KINDS = ("plain", "blank", "gap", "mismatch")
 
 
 def record(year, revenue, personnel, total_cost, currency=Currency.EUR, **extras):
@@ -116,3 +128,40 @@ def write_ledger_file(path, ledger):
     with open(path, "w", encoding="utf-8", newline="") as stream:
         write_ledger(ledger, stream)
     return path
+
+
+def variant_ledger(seed, kind, n_years=19, first_year=1997):
+    """``random_ledger`` with one defect in a middle year, chosen by ``kind``.
+
+    ``blank`` leaves ``materials_and_products`` unreported (the mean cost
+    profile omits it), ``gap`` drops the year (a ``year_gap`` finding) and
+    ``mismatch`` raises the salary by 1% (a decomposition finding).
+    """
+    records = list(random_ledger(seed, n_years, first_year).records)
+    middle = random.Random(f"variant:{seed}").randrange(1, n_years - 1)
+    if kind == "blank":
+        records[middle] = replace(records[middle], materials_and_products=None)
+    elif kind == "gap":
+        del records[middle]
+    elif kind == "mismatch":
+        records[middle] = replace(records[middle], salary=records[middle].salary * 1.01)
+    elif kind != "plain":
+        raise ValueError(f"unknown ledger kind {kind!r}")
+    return LedgerSeries(f"{kind}{seed}", tuple(records))
+
+
+def lira_text(ledger, euro_from=2002):
+    """A euro ledger in the input format, with years before ``euro_from`` in lire."""
+    stream = io.StringIO()
+    writer = csv.writer(stream, lineterminator="\n")
+    writer.writerow(COLUMNS)
+    for rec in ledger.records:
+        lire = rec.year < euro_from
+        row = [str(rec.year), "ITL" if lire else "EUR"]
+        for name in MONEY_ITEMS:
+            value = getattr(rec, name)
+            if value is not None and lire:
+                value *= LIRE_PER_EURO
+            row.append("" if value is None else repr(value))
+        writer.writerow(row)
+    return stream.getvalue()

@@ -18,7 +18,14 @@ from ecometab.cli import (
 from ecometab.errors import DomainError, EcometabError
 from ecometab.ledger import Series
 from ecometab.stats import RegressionFit, ols_fit
-from helpers import ledger_of, power_law_ledger, random_ledger, record, write_ledger_file
+from helpers import (
+    ledger_of,
+    lira_text,
+    power_law_ledger,
+    random_ledger,
+    record,
+    write_ledger_file,
+)
 
 
 def run_cli(*args):
@@ -81,6 +88,11 @@ class TestRunReport:
             ReportConfig(input_path=tmp_path / "x.csv", alpha=1.0)
         with pytest.raises(DomainError):
             ReportConfig(input_path=tmp_path / "x.csv", output_format="xml")
+
+    @pytest.mark.parametrize("delimiter", ["", ";;", "\t\t"])
+    def test_delimiter_must_be_one_character(self, tmp_path, delimiter):
+        with pytest.raises(DomainError, match="delimiter must be one character"):
+            ReportConfig(input_path=tmp_path / "x.csv", delimiter=delimiter)
 
 
 class TestRenderTable:
@@ -317,3 +329,47 @@ class TestCommandLine:
 
     def test_exit_zero_on_success(self, ledger_file):
         assert run_cli("report", "--input", str(ledger_file)).returncode == 0
+
+
+class TestHostileInputOnTheCommandLine:
+    """Each bad input ends in exit 1 and exactly one ``error:`` line."""
+
+    def assert_one_error_line(self, result, *fragments):
+        assert result.returncode == 1
+        assert result.stdout == ""
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        for fragment in fragments:
+            assert fragment in lines[0]
+
+    def test_byte_order_mark_gives_the_same_report(self, tmp_path):
+        text = lira_text(random_ledger(seed=21))
+        (tmp_path / "plain").mkdir()
+        (tmp_path / "bom").mkdir()
+        plain = tmp_path / "plain" / "ledger.csv"
+        bom = tmp_path / "bom" / "ledger.csv"
+        plain.write_text(text, encoding="utf-8")
+        bom.write_text("\ufeff" + text, encoding="utf-8")
+        expected = run_cli("report", "--input", str(plain), "--format", "json")
+        result = run_cli("report", "--input", str(bom), "--format", "json")
+        assert result.returncode == expected.returncode == 0
+        assert result.stderr == ""
+        assert result.stdout == expected.stdout
+
+    def test_latin1_byte(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        text = lira_text(random_ledger(seed=21)).replace("EUR", "EUR\u00e9", 1)
+        path.write_bytes(text.encode("latin-1"))
+        self.assert_one_error_line(run_cli("report", "--input", str(path)), "not valid utf-8")
+
+    def test_field_over_the_csv_size_limit(self, tmp_path):
+        path = tmp_path / "huge.csv"
+        lines = lira_text(random_ledger(seed=21)).splitlines()
+        lines[3] = lines[3].replace(",", "," + "9" * 200_000, 1)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        self.assert_one_error_line(run_cli("report", "--input", str(path)),
+                                   "row 4", "field larger than field limit")
+
+    def test_two_character_delimiter(self, ledger_file):
+        result = run_cli("report", "--input", str(ledger_file), "--delimiter", ";;")
+        self.assert_one_error_line(result, "delimiter must be one character")

@@ -1,5 +1,7 @@
+import csv
 import io
 import math
+from dataclasses import fields
 
 import pytest
 from hypothesis import given
@@ -12,8 +14,11 @@ from ecometab.errors import (
     ParseError,
 )
 from ecometab.ledger import (
+    COLUMNS,
     LIRE_PER_EURO,
     MONEY_ITEMS,
+    NONNEGATIVE_ITEMS,
+    REQUIRED_COLUMNS,
     Currency,
     FiscalRecord,
     LedgerSeries,
@@ -25,7 +30,7 @@ from ecometab.ledger import (
     validate_ledger,
     write_ledger,
 )
-from helpers import csv_text, full_row, ledger_of, random_ledger, record
+from helpers import csv_text, full_row, ledger_of, lira_text, random_ledger, record
 
 
 def parse(text, **kwargs):
@@ -109,6 +114,127 @@ class TestParse:
         text = csv_text([full_row(1997, "EUR", 1.0, 0.5, 1.0, 0.1)], delimiter=";")
         ledger = parse(text, delimiter=";")
         assert ledger.records[0].total_revenue == 1.0
+
+
+class TestHostileInput:
+    def test_byte_order_mark_is_ignored(self):
+        text = lira_text(random_ledger(seed=4, n_years=8))
+        assert parse("\ufeff" + text) == parse(text)
+
+    def test_undecodable_bytes_are_a_parse_error(self):
+        data = csv_text([full_row(1997, "EUR", 1.0, 0.5, 1.0, 0.1)]).encode("utf-8")
+        stream = io.TextIOWrapper(io.BytesIO(data.replace(b"0.5", b"0.5\xe9")),
+                                  encoding="utf-8", newline="")
+        with pytest.raises(ParseError, match="not valid utf-8"):
+            parse_ledger(stream)
+
+    def test_oversized_field_is_a_parse_error_naming_the_row(self):
+        huge = "1" * (csv.field_size_limit() + 1)
+        text = csv_text([full_row(1997, "EUR", 1.0, 0.5, 1.0, 0.1),
+                         full_row(1998, "EUR", huge, 0.5, 1.0, 0.1)])
+        with pytest.raises(ParseError, match=r"row 3: field larger than field limit"):
+            parse(text)
+
+    @pytest.mark.parametrize("cell", ["1_000", "\uff11\uff12", "\u0661\u0662.5"],
+                             ids=["underscore", "fullwidth", "arabic-indic"])
+    def test_money_cell_must_be_ascii_without_underscores(self, cell):
+        text = csv_text([full_row(1997, "EUR", 1.0, 0.5, 1.0, 0.1),
+                         full_row(1998, "EUR", 1.0, 0.5, 1.0, 0.1, services=cell)])
+        with pytest.raises(ParseError, match=r"row 3, column 'services': malformed number"):
+            parse(text)
+
+    @pytest.mark.parametrize("cell", ["1_998", "\uff11\uff19\uff19\uff18"],
+                             ids=["underscore", "fullwidth"])
+    def test_year_must_be_ascii_without_underscores(self, cell):
+        text = csv_text([full_row(1997, "EUR", 1.0, 0.5, 1.0, 0.1),
+                         full_row(cell, "EUR", 1.0, 0.5, 1.0, 0.1)])
+        with pytest.raises(ParseError, match=r"row 3, column 'year': malformed year"):
+            parse(text)
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_amount = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def lira_ledgers(draw):
+    """All-lira ledgers with arbitrary finite amounts and unreported items."""
+    years = sorted(draw(st.sets(st.integers(1800, 2200), min_size=1, max_size=6)))
+    records = []
+    for year in years:
+        amounts = {}
+        for name in MONEY_ITEMS:
+            value = draw(_amount if name in NONNEGATIVE_ITEMS else _finite)
+            if name in REQUIRED_COLUMNS or draw(st.booleans()):
+                amounts[name] = value
+        records.append(FiscalRecord(year=year, currency=Currency.ITL, **amounts))
+    return LedgerSeries("lira", tuple(records))
+
+
+def _bits(ledger):
+    """Every field of every record, floats by their exact bit pattern."""
+    return [
+        tuple(v.hex() if isinstance(v, float) else v
+              for v in (getattr(r, f.name) for f in fields(r)))
+        for r in ledger.records
+    ]
+
+
+@given(lira_ledgers())
+def test_parsed_lira_ledger_equals_normalized_ledger_bit_for_bit(ledger):
+    out = io.StringIO()
+    write_ledger(ledger, out)
+    parsed = parse(out.getvalue(), organization=ledger.organization)
+    expected = normalize_ledger(ledger)
+    assert parsed.organization == expected.organization
+    assert _bits(parsed) == _bits(expected)
+
+
+def _outcome(stream):
+    try:
+        result = parse_ledger(stream)
+    except ParseError:
+        return
+    assert isinstance(result, LedgerSeries)
+
+
+@given(st.binary(max_size=600))
+def test_arbitrary_bytes_give_a_ledger_or_a_parse_error(data):
+    _outcome(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=""))
+
+
+_odd_cells = st.sampled_from([
+    "", " ", "1_997", "\uff11\uff19\uff19\uff17", "eur", "USD", "-0.0", "-2", "1e999",
+    "nan", "inf", "1_000", "\u0661", "1,5", "\ufeff", '"', '"1.0"', "\x00", "\n", "year",
+]) | st.text(max_size=8)
+
+
+def _valid_cell(column):
+    if column == "year":
+        return st.integers(1990, 2020).map(str)
+    if column == "currency":
+        return st.sampled_from(["EUR", "ITL"])
+    return _amount.map(repr)
+
+
+@given(st.data())
+def test_near_valid_text_gives_a_ledger_or_a_parse_error(data):
+    """Well-formed ledgers with an odd column, cell or row length here and there."""
+    optional = [c for c in COLUMNS if c not in REQUIRED_COLUMNS]
+    header = list(data.draw(st.permutations(REQUIRED_COLUMNS)))
+    header += data.draw(st.lists(st.sampled_from(optional), max_size=4, unique=True))
+    if data.draw(st.integers(0, 9)) == 0:
+        header.append(data.draw(st.sampled_from(COLUMNS + ("bogus",))))
+    rows = []
+    for _ in range(data.draw(st.integers(0, 6))):
+        cells = [data.draw(_valid_cell(column)) for column in header]
+        if data.draw(st.integers(0, 3)) == 0:
+            cells[data.draw(st.integers(0, len(cells) - 1))] = data.draw(_odd_cells)
+        if data.draw(st.integers(0, 9)) == 0:
+            cells = cells[:-1]
+        rows.append(",".join(cells))
+    bom = "\ufeff" if data.draw(st.booleans()) else ""
+    _outcome(io.StringIO(bom + ",".join(header) + "\n" + "\n".join(rows) + "\n"))
 
 
 class TestRoundTrip:
