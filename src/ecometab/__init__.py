@@ -8,6 +8,7 @@ classification, and emits publication-style tables and figure data.
 
 from .errors import (
     AlignmentError,
+    ConvergenceError,
     DegenerateRegressorError,
     DomainError,
     EcometabError,

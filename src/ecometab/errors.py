@@ -47,3 +47,7 @@ class DegenerateRegressorError(EcometabError):
 
 class DomainError(EcometabError):
     """An argument is outside the mathematical domain of the operation."""
+
+
+class ConvergenceError(EcometabError):
+    """An iterative numerical method did not reach its tolerance."""

@@ -5,11 +5,13 @@ import sys
 
 import pytest
 
+from ecometab import stats
 from ecometab.cli import (
     FIGURE_IDS,
     Report,
     ReportConfig,
     emit_figure_data,
+    main,
     render_report_text,
     render_table,
     report_to_json,
@@ -261,6 +263,14 @@ class TestCommandLine:
         result = run_cli("report", "--input", str(tmp_path / "nope.csv"))
         assert result.returncode == 1
         assert result.stderr.startswith("error:")
+
+    def test_non_convergence_is_a_single_line_error(self, ledger_file, monkeypatch, capsys):
+        monkeypatch.setattr(stats, "_BETA_MAX_ITER", 1)
+        assert main(["report", "--input", str(ledger_file)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "did not converge" in err
 
     def test_trend_subcommand_text(self, ledger_file):
         result = run_cli("trend", "--input", str(ledger_file))

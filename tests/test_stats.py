@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ecometab import stats
 from ecometab.errors import (
     AlignmentError,
+    ConvergenceError,
     DegenerateRegressorError,
     DomainError,
     InsufficientDataError,
@@ -100,6 +102,13 @@ class TestOlsFit:
                 (fit.slope / fit.se_slope) ** 2, rel=1e-10
             )
             assert fit.p_f == pytest.approx(fit.p_slope, rel=1e-8)
+
+    def test_f_tail_is_the_t_tail_on_seeded_data(self):
+        for seed in range(25):
+            x, y = year_series(1997, noisy_dataset(seed=seed))
+            fit = ols_fit(x, y)
+            assert fit.p_f == fit.p_slope
+            assert p_value_f(fit.f_statistic, 1, fit.n - 2) == fit.p_slope
 
     def test_affine_equivariance(self):
         values = noisy_dataset(seed=7)
@@ -212,6 +221,15 @@ class TestPValues:
             betainc(0.0, 1.0, 0.5)
         with pytest.raises(DomainError):
             betainc(1.0, 1.0, 1.5)
+        with pytest.raises(DomainError):
+            betainc(2.0, 3.0, 0.4, 0.5)
+
+    @given(st.floats(allow_nan=False, allow_infinity=False),
+           st.integers(min_value=1, max_value=10**9),
+           st.integers(min_value=1, max_value=100))
+    def test_tails_accept_every_finite_statistic(self, s, df, df1):
+        assert 0.0 <= p_value_t(s, df) <= 1.0
+        assert 0.0 <= p_value_f(abs(s), df1, df) <= 1.0
 
     def test_betainc_symmetry(self):
         assert betainc(2.0, 3.0, 0.4) == pytest.approx(
@@ -227,6 +245,51 @@ class TestPValues:
     def test_t_critical_round_trips(self):
         crit = t_critical(0.05, 17)
         assert p_value_t(crit, 17) == pytest.approx(0.05, abs=1e-10)
+
+    # References below are 40-digit mpmath values rounded to double; scipy
+    # 1.17 gives the same p-value to the bit.
+    def test_small_statistic_keeps_the_central_probability(self):
+        # 1 - p = P(|T| < 1e-7) is 7.86e-8, below the rounding of x = df/(df + t²).
+        assert 1.0 - p_value_t(1e-7, 17) == pytest.approx(1.0 - 0.999999921375654, rel=1e-12)
+
+    def test_t_critical_near_alpha_one(self):
+        assert t_critical(0.999999, 5) == pytest.approx(1.3171527621084687e-06, rel=1e-12)
+        assert t_critical(0.999999, 17) == pytest.approx(1.2718706747787083e-06, rel=1e-12)
+        # lgamma cancellation at df = 1e6 limits this one to about 7e-10.
+        assert t_critical(0.999999, 10**6) == pytest.approx(1.2533144506804418e-06, rel=1e-9)
+
+    def test_t_critical_at_extreme_arguments(self):
+        alphas = (1e-300, 1e-12, 0.05, 0.5, 1.0 - 1e-12)
+        for df in (1, 2, 3, 17, 1000, 10**7):
+            values = [t_critical(alpha, df) for alpha in alphas]
+            assert all(0.0 < v < math.inf for v in values), df
+            assert values == sorted(values, reverse=True), df
+        # Subnormal tails: Newton crawls in from the left until bisection takes over.
+        for alpha, df in ((1e-323, 122), (5e-324, 126), (1.5e-323, 140)):
+            assert 0.0 < t_critical(alpha, df) < math.inf
+
+    def test_t_critical_needs_few_tail_evaluations(self, monkeypatch):
+        calls = 0
+
+        def counting(t, df):
+            nonlocal calls
+            calls += 1
+            return p_value_t(t, df)
+
+        monkeypatch.setattr(stats, "p_value_t", counting)
+        worst = 0
+        for df in range(1, 2001):
+            for alpha in (0.01, 0.05, 0.10):
+                calls = 0
+                t_critical(alpha, df)
+                worst = max(worst, calls)
+        assert worst <= 6
+
+    def test_continued_fraction_says_when_it_does_not_converge(self):
+        # At x = 1/2, a = b = 1e5 needs 241 terms and a = b = 1e6 needs 519.
+        assert betainc(1e5, 1e5, 0.5) == pytest.approx(0.5, abs=1e-6)
+        with pytest.raises(ConvergenceError, match="did not converge in 300 iterations"):
+            betainc(1e6, 1e6, 0.5)
 
 
 class TestSignificanceStars:
