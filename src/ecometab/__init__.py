@@ -60,14 +60,7 @@ from .stats import (
     significance_stars,
     t_critical,
 )
-from .cli import (
-    Report,
-    ReportConfig,
-    emit_figure_data,
-    render_report_text,
-    render_table,
-    report_to_json,
-    run_report,
-)
+from .report import Report, ReportConfig, run_report
+from .cli import emit_figure_data, render_report_text, render_table, report_to_json
 
 __version__ = "0.1.0"

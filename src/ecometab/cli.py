@@ -1,11 +1,13 @@
-"""Command-line front end and report assembly.
+"""Command-line front end and output formats.
 
-Subcommands run either the full report or one analysis over a ledger file
-and emit text tables, machine-readable JSON/CSV, or figure-data files.
-Text tables are a pure view; JSON carries every number at full precision,
-so display rounding never feeds back into computation. Output is
+Subcommands run either the full report (``report.py``) or one analysis over
+the ledger's window and emit text tables, machine-readable JSON/CSV, or
+figure-data files. A subcommand's JSON and CSV are its section of the full
+report's. Text tables are a pure view; JSON carries every number at full
+precision, so display rounding never feeds back into computation. Output is
 deterministic: the same input file and configuration produce byte-identical
-results. Figure files are written atomically (temp file, then rename).
+results. Figure files are all-or-nothing: each is written to a temp file,
+and only when every one is written are they renamed into place.
 """
 
 import argparse
@@ -15,21 +17,19 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import fields
 from enum import Enum
 from pathlib import Path
 from typing import Mapping
 
-from .errors import DomainError, EcometabError
+from .errors import DomainError, EcometabError, EmptyPeriodError
 from .ledger import (
     MAIN_COST_ITEMS,
     MONEY_ITEMS,
     PERSONNEL_COMPONENTS,
     LedgerSeries,
-    Series,
     ValidationFinding,
     extract_series,
-    parse_ledger,
     validate_ledger,
 )
 from .metabolism import (
@@ -39,17 +39,21 @@ from .metabolism import (
     GrowthRate,
     MetabolismPoint,
     allometric_fit,
-    arithmetic_growth,
     crossover_years,
-    mean_cost_profile,
     metabolism_index,
     trend_fit,
 )
+from .report import (
+    TREND_ITEMS,
+    Report,
+    ReportConfig,
+    growth_over,
+    load_ledger,
+    run_report,
+    share_series,
+)
 from .stats import RegressionFit, p_value_t, significance_stars
 
-TREND_ITEMS = ("total_revenue", "cost_of_personnel", "total_cost")
-# A fit's CSV fields: every field but the per-observation residuals.
-_FIT_CSV_FIELDS = tuple(f.name for f in fields(RegressionFit) if f.name != "residuals")
 FIGURE_IDS = ("fig1", "fig2", "fig3", "fig4", "figA1", "figA2", "figA3")
 OUTPUT_FORMATS = ("text", "json", "csv")
 
@@ -57,124 +61,6 @@ OUTPUT_FORMATS = ("text", "json", "csv")
 # total revenue), kept as a fixed reference line in the cross-check section.
 _REFERENCE_CUM_PERSONNEL = 1.6787
 _REFERENCE_CUM_REVENUE = 1.1872
-
-
-@dataclass(frozen=True)
-class ReportConfig:
-    """Everything a report run needs besides the data itself."""
-
-    input_path: Path
-    period: tuple[int, int] = (1997, 2015)
-    numerator_item: str = "cost_of_personnel"
-    denominator_item: str = "total_revenue"
-    alpha: float = 0.05
-    output_format: str = "text"
-    output_dir: Path | None = None
-    delimiter: str = ","
-
-    def __post_init__(self):
-        if self.period[0] >= self.period[1]:
-            raise DomainError(
-                f"period start {self.period[0]} must be before end {self.period[1]}"
-            )
-        if not 0.0 < self.alpha < 1.0:
-            raise DomainError("alpha must be in (0, 1)")
-        if self.output_format not in OUTPUT_FORMATS:
-            raise DomainError(f"unknown output format '{self.output_format}'")
-        if len(self.delimiter) != 1:
-            raise DomainError(f"delimiter must be one character, got {self.delimiter!r}")
-
-
-@dataclass(frozen=True)
-class Report:
-    """All analyses over one ledger, ready for rendering."""
-
-    trend_table: Mapping[str, RegressionFit]
-    growth_table: Mapping[str, GrowthRate]
-    allometric_table: AllometricFit
-    metabolism_series: tuple[MetabolismPoint, ...]
-    other_costs_share: tuple[MetabolismPoint, ...]
-    crossings: tuple[Crossing, ...]
-    mean_costs: CostProfile
-    validation_findings: tuple[ValidationFinding, ...]
-    ledger: LedgerSeries
-    config: ReportConfig
-
-
-def _load_ledger(config: ReportConfig) -> LedgerSeries:
-    with open(config.input_path, encoding="utf-8", newline="") as stream:
-        return parse_ledger(
-            stream, organization=Path(config.input_path).stem, delimiter=config.delimiter
-        )
-
-
-def _growth_over_period(
-    ledger: LedgerSeries, item: str, period: tuple[int, int]
-) -> GrowthRate:
-    series = extract_series(ledger, item, period)
-    return arithmetic_growth(series, series.years[0], series.years[-1])
-
-
-def run_report(config: ReportConfig) -> Report:
-    """Run every analysis; any failure names the analysis that caused it."""
-    ledger = _load_ledger(config)
-    period = config.period
-
-    def step(name, fn):
-        try:
-            return fn()
-        except EcometabError as exc:
-            raise EcometabError(f"{name}: {exc}") from exc
-
-    trend_table = {
-        item: step(f"trend[{item}]", lambda item=item: trend_fit(ledger, item, period))
-        for item in TREND_ITEMS
-    }
-    growth_table = {
-        item: step(
-            f"growth[{item}]", lambda item=item: _growth_over_period(ledger, item, period)
-        )
-        for item in TREND_ITEMS
-    }
-    allometric_table = step(
-        "allometric",
-        lambda: allometric_fit(
-            ledger, config.numerator_item, config.denominator_item, period, config.alpha
-        ),
-    )
-    metabolism_series = step(
-        "metabolism",
-        lambda: metabolism_index(
-            ledger, config.numerator_item, config.denominator_item, period
-        ),
-    )
-    other_costs_share = step(
-        "metabolism[other_costs]",
-        lambda: metabolism_index(ledger, "other_costs", config.denominator_item, period),
-    )
-    crossings = step(
-        "crossover",
-        lambda: crossover_years(
-            _share_series(metabolism_series), _share_series(other_costs_share)
-        ),
-    )
-    mean_costs = step("mean_costs", lambda: mean_cost_profile(ledger, period))
-    return Report(
-        trend_table=trend_table,
-        growth_table=growth_table,
-        allometric_table=allometric_table,
-        metabolism_series=metabolism_series,
-        other_costs_share=other_costs_share,
-        crossings=crossings,
-        mean_costs=mean_costs,
-        validation_findings=tuple(validate_ledger(ledger)),
-        ledger=ledger,
-        config=config,
-    )
-
-
-def _share_series(points: tuple[MetabolismPoint, ...]) -> Series:
-    return Series(tuple(p.year for p in points), tuple(p.share_percent for p in points))
 
 
 # ---------------------------------------------------------------------------
@@ -206,16 +92,50 @@ def _csv(header: list[str], rows) -> str:
     return buffer.getvalue()
 
 
+# Section emitters: the full report passes its section (and item) as the
+# row prefix; a subcommand's JSON and CSV are the same sections without it.
+
+
+def _field_rows(result, *prefix: str):
+    """A result's ``[*prefix, field, value]`` rows at full precision, residuals left out."""
+    return (
+        [*prefix, field, repr(value)]
+        for field, value in _fields(result).items()
+        if field != "residuals"
+    )
+
+
+def _table_json(table: Mapping) -> dict:
+    return {key: _fields(result) for key, result in table.items()}
+
+
+def _table_rows(table: Mapping, *prefix: str):
+    return (row for key, result in table.items() for row in _field_rows(result, *prefix, key))
+
+
+def _share_rows(points: tuple[MetabolismPoint, ...], *prefix: str):
+    return ([*prefix, str(p.year), repr(p.share_percent)] for p in points)
+
+
+def _metabolism_json(config: ReportConfig, points: tuple[MetabolismPoint, ...]) -> dict:
+    return {
+        "numerator": config.numerator_item,
+        "denominator": config.denominator_item,
+        "points": [_fields(p) for p in points],
+    }
+
+
 def _p_text(p: float) -> str:
     return "<0.001" if p < 0.001 else f"{p:.3f}"
 
 
-def _intercept_p(fit: RegressionFit) -> float:
-    if fit.exact_fit:
+def _t_test_p(value: float, se: float, n: int, exact_fit: bool) -> float:
+    """Two-sided p of ``value / se`` on n - 2 df: 0 for an exact fit, 1 if se is 0."""
+    if exact_fit:
         return 0.0
-    if fit.se_intercept == 0:
+    if se == 0:
         return 1.0
-    return p_value_t(fit.intercept / fit.se_intercept, fit.n - 2)
+    return p_value_t(value / se, n - 2)
 
 
 def _coef_text(value: float, se: float, p: float, decimals: int = 3) -> str:
@@ -235,12 +155,9 @@ def _columns(rows: list[tuple[str, ...]]) -> str:
 def render_table(fits: Mapping[str, RegressionFit], output_format: str = "text") -> str:
     """Render OLS fits as a table: estimate, (se), stars, std.coef, R2, F (p)."""
     if output_format == "json":
-        return _json({item: _fields(fit) for item, fit in fits.items()})
+        return _json(_table_json(fits))
     if output_format == "csv":
-        return _csv(["item", "field", "value"], (
-            [item, field, repr(getattr(fit, field))]
-            for item, fit in fits.items() for field in _FIT_CSV_FIELDS
-        ))
+        return _csv(["item", "field", "value"], _table_rows(fits))
     if output_format != "text":
         raise DomainError(f"unknown output format '{output_format}'")
     rows = [("item", "intercept (se)", "slope (se)", "std.coef", "R2", "F (p)")]
@@ -252,7 +169,8 @@ def render_table(fits: Mapping[str, RegressionFit], output_format: str = "text")
             flags.append("exact fit")
         rows.append((
             item + (f" [{', '.join(flags)}]" if flags else ""),
-            _coef_text(fit.intercept, fit.se_intercept, _intercept_p(fit)),
+            _coef_text(fit.intercept, fit.se_intercept,
+                       _t_test_p(fit.intercept, fit.se_intercept, fit.n, fit.exact_fit)),
             _coef_text(fit.slope, fit.se_slope, fit.p_slope),
             f"{fit.standardized_slope:.2f}",
             f"{fit.r_squared:.2f}",
@@ -277,10 +195,7 @@ def _render_growth_text(growth: Mapping[str, GrowthRate]) -> str:
 
 def _render_allometric_text(fit: AllometricFit, dependent: str, explanatory: str) -> str:
     std_coef = math.copysign(math.sqrt(fit.r_squared), fit.exponent)
-    lna_p = 0.0 if fit.exact_fit else (
-        1.0 if fit.se_log_prefactor == 0
-        else p_value_t(fit.log_prefactor / fit.se_log_prefactor, fit.n - 2)
-    )
+    lna_p = _t_test_p(fit.log_prefactor, fit.se_log_prefactor, fit.n, fit.exact_fit)
     lines = [
         f"  model: ln({dependent}) on ln({explanatory}), n = {fit.n}",
         f"  log prefactor (se): {_coef_text(fit.log_prefactor, fit.se_log_prefactor, lna_p)}",
@@ -293,11 +208,11 @@ def _render_allometric_text(fit: AllometricFit, dependent: str, explanatory: str
     return "\n".join(lines) + "\n"
 
 
-def _render_metabolism_text(report: Report) -> str:
-    rows = [("year", report.config.numerator_item, "other_costs")]
-    other = {p.year: p.share_percent for p in report.other_costs_share}
-    for point in report.metabolism_series:
-        rows.append((str(point.year), f"{point.share_percent:.2f}", f"{other[point.year]:.2f}"))
+def _render_shares_text(columns: list[tuple[str, tuple[MetabolismPoint, ...]]]) -> str:
+    """A year column, then one named column of shares per series over the same years."""
+    rows = [("year", *(name for name, _ in columns))]
+    for points in zip(*(points for _, points in columns)):
+        rows.append((str(points[0].year), *(f"{p.share_percent:.2f}" for p in points)))
     return _columns(rows) + "\n"
 
 
@@ -326,8 +241,8 @@ def _render_cross_checks(report: Report) -> str:
     points = report.metabolism_series
     first, last = points[0], points[-1]
     config = report.config
-    growth_num = _growth_over_period(report.ledger, config.numerator_item, (first.year, last.year))
-    growth_den = _growth_over_period(report.ledger, config.denominator_item, (first.year, last.year))
+    growth_num = growth_over(report.window, config.numerator_item)
+    growth_den = growth_over(report.window, config.denominator_item)
     share_ratio = last.share_percent / first.share_percent
     predicted = (1.0 + growth_num.cumulative) / (1.0 + growth_den.cumulative)
     reference = (1.0 + _REFERENCE_CUM_PERSONNEL) / (1.0 + _REFERENCE_CUM_REVENUE)
@@ -355,54 +270,40 @@ def render_report_text(report: Report) -> str:
     ledger = report.ledger
     config = report.config
     start, end = config.period
-    parts = [
-        f"Ledger: {ledger.organization or '(unnamed)'} "
-        f"({len(ledger)} records, window {start}-{end}, EUR)",
-        "",
-        "Validation findings",
-        _render_findings_text(report.validation_findings).rstrip("\n"),
-        "",
-        "Trend regressions (OLS on calendar year)",
-        render_table(report.trend_table, "text").rstrip("\n"),
-        "",
-        "Arithmetic growth rates",
-        _render_growth_text(report.growth_table).rstrip("\n"),
-        "",
-        "Allometric relation",
-        _render_allometric_text(
+    sections = [
+        ("Validation findings", _render_findings_text(report.validation_findings)),
+        ("Trend regressions (OLS on calendar year)", render_table(report.trend_table)),
+        ("Arithmetic growth rates", _render_growth_text(report.growth_table)),
+        ("Allometric relation", _render_allometric_text(
             report.allometric_table, config.numerator_item, config.denominator_item
-        ).rstrip("\n"),
-        "",
-        f"Cost share of {config.denominator_item} (percent)",
-        _render_metabolism_text(report).rstrip("\n"),
-        "",
-        "Share crossovers",
-        _render_crossings_text(report.crossings).rstrip("\n"),
-        "",
-        f"Mean cost profile {start}-{end}",
-        _render_mean_costs_text(report.mean_costs).rstrip("\n"),
-        "",
-        "Cross-checks",
-        _render_cross_checks(report).rstrip("\n"),
+        )),
+        (f"Cost share of {config.denominator_item} (percent)", _render_shares_text([
+            (config.numerator_item, report.metabolism_series),
+            ("other_costs", report.other_costs_share),
+        ])),
+        ("Share crossovers", _render_crossings_text(report.crossings)),
+        (f"Mean cost profile {start}-{end}", _render_mean_costs_text(report.mean_costs)),
+        ("Cross-checks", _render_cross_checks(report)),
     ]
-    return "\n".join(parts) + "\n"
+    header = (f"Ledger: {ledger.organization or '(unnamed)'} "
+              f"({len(ledger)} records, window {start}-{end}, EUR)\n")
+    # Each section body ends in one newline; a blank line precedes each title.
+    return header + "".join(f"\n{title}\n{body}" for title, body in sections)
 
 
 def report_to_json(report: Report) -> str:
     """Full-precision JSON with fixed key order; byte-deterministic."""
     return _json({
-        "trend": {item: _fields(fit) for item, fit in report.trend_table.items()},
-        "growth": {item: _fields(rate) for item, rate in report.growth_table.items()},
+        "trend": _table_json(report.trend_table),
+        "growth": _table_json(report.growth_table),
         "allometric": _fields(report.allometric_table),
         "metabolism": {
-            "numerator": report.config.numerator_item,
-            "denominator": report.config.denominator_item,
-            "points": [_fields(p) for p in report.metabolism_series],
+            **_metabolism_json(report.config, report.metabolism_series),
             "other_costs_points": [_fields(p) for p in report.other_costs_share],
         },
         "crossings": [_fields(c) for c in report.crossings],
         "mean_costs": {
-            "items": {item: _fields(d) for item, d in report.mean_costs.by_item.items()},
+            "items": _table_json(report.mean_costs.by_item),
             "omitted": list(report.mean_costs.omitted),
         },
         "validation": [_fields(f) for f in report.validation_findings],
@@ -411,26 +312,16 @@ def report_to_json(report: Report) -> str:
 
 def _report_rows(report: Report):
     numerator = report.config.numerator_item
-    for item, fit in report.trend_table.items():
-        for field in _FIT_CSV_FIELDS:
-            yield ["trend", item, field, repr(getattr(fit, field))]
-    for item, rate in report.growth_table.items():
-        for field, value in _fields(rate).items():
-            yield ["growth", item, field, repr(value)]
-    for field, value in _fields(report.allometric_table).items():
-        yield ["allometric", numerator, field, repr(value)]
-    for point in report.metabolism_series:
-        yield ["metabolism", numerator, str(point.year), repr(point.share_percent)]
-    for point in report.other_costs_share:
-        yield ["metabolism", "other_costs", str(point.year), repr(point.share_percent)]
-    for crossing in report.crossings:
-        yield ["crossings", f"{crossing.start_year}-{crossing.end_year}",
-               "crossing_year", repr(crossing.crossing_year)]
-    for item, d in report.mean_costs.by_item.items():
-        for field, value in _fields(d).items():
-            yield ["mean_costs", item, field, repr(value)]
-    for finding in report.validation_findings:
-        yield ["validation", finding.kind, str(finding.year), finding.message]
+    yield from _table_rows(report.trend_table, "trend")
+    yield from _table_rows(report.growth_table, "growth")
+    yield from _field_rows(report.allometric_table, "allometric", numerator)
+    yield from _share_rows(report.metabolism_series, "metabolism", numerator)
+    yield from _share_rows(report.other_costs_share, "metabolism", "other_costs")
+    for c in report.crossings:
+        yield ["crossings", f"{c.start_year}-{c.end_year}", "crossing_year", repr(c.crossing_year)]
+    yield from _table_rows(report.mean_costs.by_item, "mean_costs")
+    for f in report.validation_findings:
+        yield ["validation", f.kind, str(f.year), f.message]
 
 
 def report_to_csv(report: Report) -> str:
@@ -443,74 +334,88 @@ def report_to_csv(report: Report) -> str:
 
 
 def _figure_rows(report: Report, figure_id: str) -> tuple[list[str], list[list[str]]]:
-    ledger = report.ledger
-    period = report.config.period
-
-    def column(item: str) -> Series:
-        return extract_series(ledger, item, period)
-
     if figure_id == "fig1":
-        header = ["item", "mean"]
-        rows = [[item, repr(d.mean)] for item, d in report.mean_costs.by_item.items()]
-        return header, rows
-    if figure_id == "fig2":
-        items = ["total_revenue", "cost_of_personnel"]
-    elif figure_id == "fig3":
-        items = ["total_revenue", "total_cost"]
-    elif figure_id == "fig4":
-        header = ["year", "m_personnel_percent", "m_other_costs_percent"]
-        other = {p.year: p.share_percent for p in report.other_costs_share}
-        rows = [
-            [str(p.year), repr(p.share_percent), repr(other[p.year])]
-            for p in report.metabolism_series
+        return ["item", "mean"], [
+            [item, repr(d.mean)] for item, d in report.mean_costs.by_item.items()
         ]
-        return header, rows
-    elif figure_id == "figA1":
-        items = [i for i in MAIN_COST_ITEMS if i in report.mean_costs.by_item]
-    elif figure_id == "figA2":
-        items = list(PERSONNEL_COMPONENTS)
-    elif figure_id == "figA3":
-        items = ["cost_of_personnel", "other_costs"]
+    if figure_id == "fig4":
+        names = ["m_personnel_percent", "m_other_costs_percent"]
+        columns = [share_series(report.metabolism_series), share_series(report.other_costs_share)]
     else:
-        raise DomainError(
-            f"unknown figure id '{figure_id}' (expected one of {', '.join(FIGURE_IDS)})"
-        )
-    series = [column(item) for item in items]
-    years = series[0].years
-    header = ["year"] + items
+        names = {
+            "fig2": ["total_revenue", "cost_of_personnel"],
+            "fig3": ["total_revenue", "total_cost"],
+            "figA1": [i for i in MAIN_COST_ITEMS if i in report.mean_costs.by_item],
+            "figA2": list(PERSONNEL_COMPONENTS),
+            "figA3": ["cost_of_personnel", "other_costs"],
+        }.get(figure_id)
+        if names is None:
+            raise DomainError(
+                f"unknown figure id '{figure_id}' (expected one of {', '.join(FIGURE_IDS)})"
+            )
+        columns = [extract_series(report.window, item) for item in names]
     rows = [
-        [str(year)] + [repr(s.values[i]) for s in series]
-        for i, year in enumerate(years)
+        [str(year), *(repr(value) for value in values)]
+        for year, *values in zip(columns[0].years, *(c.values for c in columns))
     ]
-    return header, rows
+    return ["year", *names], rows
+
+
+def _write_figures(report: Report, figure_ids, output_dir: Path) -> list[Path]:
+    """Write each figure's data as ``<figure_id>.csv``, all or nothing.
+
+    Every figure is rendered before a file is opened, and every temp file is
+    written before the first is renamed into place. On an ``OSError`` the
+    temp files and the figure files this call already renamed are removed.
+    """
+    output_dir = Path(output_dir)
+    staged = [
+        (output_dir / f".{figure_id}.csv.tmp", output_dir / f"{figure_id}.csv",
+         _csv(*_figure_rows(report, figure_id)))
+        for figure_id in dict.fromkeys(figure_ids)
+    ]
+    written: list[Path] = []
+    try:
+        for tmp_path, _, text in staged:
+            with open(tmp_path, "w", encoding="utf-8", newline="") as stream:
+                written.append(tmp_path)
+                stream.write(text)
+        for tmp_path, path, _ in staged:
+            os.replace(tmp_path, path)
+            written.append(path)
+    except OSError:
+        for path in written:
+            path.unlink(missing_ok=True)
+        raise
+    return [output_dir / f"{figure_id}.csv" for figure_id in figure_ids]
 
 
 def emit_figure_data(report: Report, figure_id: str, output_dir: Path) -> Path:
-    """Write one figure's data as ``<figure_id>.csv``; returns the path.
-
-    The file is written to a temporary name and renamed into place, so a
-    failure never leaves a partial file behind.
-    """
-    text = _csv(*_figure_rows(report, figure_id))
-    output_dir = Path(output_dir)
-    path = output_dir / f"{figure_id}.csv"
-    tmp_path = output_dir / f".{figure_id}.csv.tmp"
-    try:
-        with open(tmp_path, "w", encoding="utf-8", newline="") as stream:
-            stream.write(text)
-        os.replace(tmp_path, path)
-    except OSError:
-        tmp_path.unlink(missing_ok=True)
-        raise
-    return path
+    """Write one figure's data as ``<figure_id>.csv``, all or nothing; returns the path."""
+    return _write_figures(report, (figure_id,), output_dir)[0]
 
 
 # ---------------------------------------------------------------------------
 # Command-line interface
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Raises usage errors, so ``main`` reports them like any other failure."""
+
+    def error(self, message):
+        # Some messages quote arguments verbatim; escape what would end the line.
+        raise EcometabError("".join(c if c.isprintable() else ascii(c)[1:-1] for c in message))
+
+
+def _path(text: str) -> Path:
+    # open() raises ValueError, not OSError, on a name with a NUL byte.
+    if "\0" in text:
+        raise argparse.ArgumentTypeError("path contains a NUL byte")
+    return Path(text)
+
+
 def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--input", required=True, type=Path, help="ledger file to analyze")
+    parser.add_argument("--input", required=True, type=_path, help="ledger file to analyze")
     parser.add_argument("--from", dest="year_from", type=int, default=1997,
                         help="first year of the analysis window (default 1997)")
     parser.add_argument("--to", dest="year_to", type=int, default=2015,
@@ -519,8 +424,6 @@ def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
                         help="significance level for the allometry test (default 0.05)")
     parser.add_argument("--format", dest="output_format", choices=OUTPUT_FORMATS,
                         default="text", help="output format (default text)")
-    parser.add_argument("--out-dir", dest="output_dir", type=Path,
-                        help="directory for figure-data files (figures command)")
     parser.add_argument("--numerator", default="cost_of_personnel",
                         help="share numerator / allometric dependent item")
     parser.add_argument("--denominator", default="total_revenue",
@@ -529,7 +432,7 @@ def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="ecometab",
         description="Economic-metabolism analysis of income-statement time series.",
     )
@@ -556,120 +459,74 @@ def _build_parser() -> argparse.ArgumentParser:
             command.add_argument("--figure", dest="figures", action="append",
                                  choices=FIGURE_IDS,
                                  help="figure id to emit (repeatable; default: all)")
+            command.add_argument("--out-dir", dest="output_dir", type=_path,
+                                 default=Path("."),
+                                 help="directory for figure-data files (default: .)")
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> ReportConfig:
-    return ReportConfig(
-        input_path=args.input,
-        period=(args.year_from, args.year_to),
-        numerator_item=args.numerator,
-        denominator_item=args.denominator,
-        alpha=args.alpha,
-        output_format=args.output_format,
-        output_dir=args.output_dir,
-        delimiter=args.delimiter,
-    )
-
-
-def _fits_output(payload_key: str, fits: Mapping[str, RegressionFit],
-                 output_format: str) -> str:
-    if output_format == "json":
-        return _json({payload_key: {i: _fields(f) for i, f in fits.items()}})
-    return render_table(fits, output_format)
+def _analysis(command: str, window: LedgerSeries, config: ReportConfig, args):
+    """One analysis over the window: (JSON payload, CSV header, CSV rows, text)."""
+    numerator, denominator = config.numerator_item, config.denominator_item
+    if command in ("trend", "growth"):
+        analyze, render = ((trend_fit, render_table) if command == "trend"
+                           else (growth_over, _render_growth_text))
+        table = {item: analyze(window, item) for item in args.items or TREND_ITEMS}
+        return ({command: _table_json(table)}, ["item", "field", "value"],
+                _table_rows(table), lambda: render(table))
+    if command == "allometric":
+        fit = allometric_fit(window, numerator, denominator, alpha=config.alpha)
+        return ({"allometric": _fields(fit)}, ["field", "value"], _field_rows(fit),
+                lambda: _render_allometric_text(fit, numerator, denominator))
+    points = metabolism_index(window, numerator, denominator)
+    if command == "metabolism":
+        return ({"metabolism": _metabolism_json(config, points)},
+                ["year", "share_percent"], _share_rows(points),
+                lambda: _render_shares_text([("share_percent", points)]))
+    other = metabolism_index(window, "other_costs", denominator)
+    crossings = crossover_years(share_series(points), share_series(other))
+    return ({"crossings": [_fields(c) for c in crossings]},
+            ["start_year", "end_year", "crossing_year"],
+            ([c.start_year, c.end_year, repr(c.crossing_year)] for c in crossings),
+            lambda: _render_crossings_text(crossings))
 
 
 def _run_command(command: str, config: ReportConfig, args: argparse.Namespace) -> str:
     if command == "report":
-        report = run_report(config)
-        if config.output_format == "json":
-            return report_to_json(report)
-        if config.output_format == "csv":
-            return report_to_csv(report)
-        return render_report_text(report)
-
+        render = {"json": report_to_json, "csv": report_to_csv, "text": render_report_text}
+        return render[args.output_format](run_report(config))
     if command == "figures":
-        report = run_report(config)
-        output_dir = config.output_dir or Path(".")
-        ids = tuple(args.figures) if getattr(args, "figures", None) else FIGURE_IDS
-        for figure_id in ids:
-            _figure_rows(report, figure_id)  # validate everything before writing
-        paths = [emit_figure_data(report, figure_id, output_dir) for figure_id in ids]
+        paths = _write_figures(run_report(config), args.figures or FIGURE_IDS, args.output_dir)
         return "".join(f"{path}\n" for path in paths)
-
-    ledger = _load_ledger(config)
-
+    ledger = load_ledger(config)
     if command == "validate":
-        findings = validate_ledger(ledger)
-        return _render_findings_text(tuple(findings))
-
-    if command == "trend":
-        items = tuple(getattr(args, "items", None) or TREND_ITEMS)
-        fits = {item: trend_fit(ledger, item, config.period) for item in items}
-        return _fits_output("trend", fits, config.output_format)
-
-    if command == "growth":
-        items = tuple(getattr(args, "items", None) or TREND_ITEMS)
-        growth = {item: _growth_over_period(ledger, item, config.period) for item in items}
-        if config.output_format == "json":
-            return _json({"growth": {i: _fields(g) for i, g in growth.items()}})
-        if config.output_format == "csv":
-            return _csv(["item", "field", "value"], (
-                [item, field, repr(value)]
-                for item, rate in growth.items() for field, value in _fields(rate).items()
-            ))
-        return _render_growth_text(growth)
-
-    if command == "metabolism":
-        points = metabolism_index(
-            ledger, config.numerator_item, config.denominator_item, config.period
+        return _render_findings_text(tuple(validate_ledger(ledger)))
+    try:
+        payload, header, rows, text = _analysis(
+            command, ledger.window(config.period), config, args
         )
-        if config.output_format == "json":
-            return _json({"metabolism": {
-                "numerator": config.numerator_item,
-                "denominator": config.denominator_item,
-                "points": [_fields(p) for p in points],
-            }})
-        if config.output_format == "csv":
-            return _csv(["year", "share_percent"],
-                        ([p.year, repr(p.share_percent)] for p in points))
-        rows = [("year", "share_percent")]
-        rows += [(str(p.year), f"{p.share_percent:.2f}") for p in points]
-        return _columns(rows) + "\n"
-
-    if command == "allometric":
-        fit = allometric_fit(
-            ledger, config.numerator_item, config.denominator_item,
-            config.period, config.alpha,
-        )
-        if config.output_format == "json":
-            return _json({"allometric": _fields(fit)})
-        if config.output_format == "csv":
-            return _csv(["field", "value"],
-                        ([field, repr(value)] for field, value in _fields(fit).items()))
-        return _render_allometric_text(fit, config.numerator_item, config.denominator_item)
-
-    if command == "crossover":
-        personnel = metabolism_index(
-            ledger, config.numerator_item, config.denominator_item, config.period
-        )
-        other = metabolism_index(ledger, "other_costs", config.denominator_item, config.period)
-        crossings = crossover_years(_share_series(personnel), _share_series(other))
-        if config.output_format == "json":
-            return _json({"crossings": [_fields(c) for c in crossings]})
-        if config.output_format == "csv":
-            return _csv(["start_year", "end_year", "crossing_year"], (
-                [c.start_year, c.end_year, repr(c.crossing_year)] for c in crossings
-            ))
-        return _render_crossings_text(crossings)
-
-    raise DomainError(f"unknown command '{command}'")
+    except EmptyPeriodError:
+        # Only an empty window raises this; name it, as run_report does.
+        start, end = config.period
+        raise EmptyPeriodError(f"no records in period {start}-{end}") from None
+    if args.output_format == "json":
+        return _json(payload)
+    if args.output_format == "csv":
+        return _csv(header, rows)
+    return text()
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
-        config = _config_from_args(args)
+        args = _build_parser().parse_args(argv)
+        config = ReportConfig(
+            input_path=args.input,
+            period=(args.year_from, args.year_to),
+            numerator_item=args.numerator,
+            denominator_item=args.denominator,
+            alpha=args.alpha,
+            delimiter=args.delimiter,
+        )
         sys.stdout.write(_run_command(args.command, config, args))
         return 0
     except (EcometabError, OSError) as exc:

@@ -122,7 +122,7 @@ class FiscalRecord:
     def item(self, name: str) -> float | None:
         """Return a monetary item by column name (``None`` if not reported)."""
         if name not in _MONEY_ITEM_SET:
-            raise DomainError(f"unknown item '{name}'")
+            raise DomainError(f"unknown item {name!r}")
         return getattr(self, name)
 
 
@@ -153,6 +153,19 @@ class LedgerSeries:
     @property
     def years(self) -> tuple[int, ...]:
         return tuple(r.year for r in self.records)
+
+    def window(self, period: tuple[int, int] | None) -> "LedgerSeries":
+        """The records inside an inclusive (first, last) year window.
+
+        ``None`` is no window and returns this series itself. The result may
+        hold no records.
+        """
+        if period is None:
+            return self
+        start, end = period
+        return LedgerSeries(
+            self.organization, tuple(r for r in self.records if start <= r.year <= end)
+        )
 
 
 @dataclass(frozen=True)
@@ -274,7 +287,7 @@ def parse_ledger(stream: TextIO, organization: str = "", delimiter: str = ",") -
     seen: set[str] = set()
     for name in header:
         if name not in COLUMNS:
-            raise ParseError(f"unknown column '{name}'", row=1)
+            raise ParseError(f"unknown column {name!r}", row=1)
         if name in seen:
             raise ParseError(f"duplicate column '{name}'", row=1)
         seen.add(name)
@@ -357,12 +370,8 @@ def extract_series(
     are dropped. Every record inside the window must report the item.
     """
     if item not in _MONEY_ITEM_SET:
-        raise DomainError(f"unknown item '{item}'")
-    if period is None:
-        selected = ledger.records
-    else:
-        start, end = period
-        selected = [r for r in ledger.records if start <= r.year <= end]
+        raise DomainError(f"unknown item {item!r}")
+    selected = ledger.window(period).records
     if not selected:
         raise EmptyPeriodError(
             "no records in period" if period is None else f"no records in period {period[0]}-{period[1]}"

@@ -241,10 +241,7 @@ def mean_cost_profile(
     ledger: LedgerSeries, period: tuple[int, int] | None = None
 ) -> CostProfile:
     """Descriptives of every cost item reported in all period records."""
-    if period is None:
-        selected = list(ledger.records)
-    else:
-        selected = [r for r in ledger.records if period[0] <= r.year <= period[1]]
+    selected = ledger.window(period).records
     if not selected:
         raise InsufficientDataError("no records in the requested period")
     by_item: dict[str, Descriptives] = {}

@@ -88,8 +88,6 @@ class TestRunReport:
             ReportConfig(input_path=tmp_path / "x.csv", period=(2015, 1997))
         with pytest.raises(DomainError):
             ReportConfig(input_path=tmp_path / "x.csv", alpha=1.0)
-        with pytest.raises(DomainError):
-            ReportConfig(input_path=tmp_path / "x.csv", output_format="xml")
 
     @pytest.mark.parametrize("delimiter", ["", ";;", "\t\t"])
     def test_delimiter_must_be_one_character(self, tmp_path, delimiter):
@@ -194,7 +192,7 @@ class TestFigures:
             trend_table={}, growth_table={}, allometric_table=None,
             metabolism_series=(), other_costs_share=(), crossings=(),
             mean_costs=mean_cost_profile(ledger, (1997, 1998)),
-            validation_findings=(), ledger=ledger,
+            validation_findings=(), ledger=ledger, window=ledger,
             config=ReportConfig(input_path=tmp_path / "two.csv", period=(1997, 1998)),
         )
         out = emit_figure_data(report, "fig1", tmp_path)
@@ -330,6 +328,15 @@ class TestCommandLine:
         assert result.returncode == 0
         assert [p.name for p in out_dir.iterdir()] == ["fig2.csv"]
 
+    def test_figures_leave_the_directory_as_it_was_on_failure(self, ledger_file, tmp_path):
+        out_dir = tmp_path / "figs"
+        (out_dir / "fig3.csv").mkdir(parents=True)  # blocks the third rename
+        result = run_cli("figures", "--input", str(ledger_file), "--out-dir", str(out_dir))
+        assert result.returncode == 1
+        assert len(result.stderr.splitlines()) == 1
+        assert [p.name for p in out_dir.iterdir()] == ["fig3.csv"]
+        assert list((out_dir / "fig3.csv").iterdir()) == []
+
     def test_period_flags(self, ledger_file):
         result = run_cli("metabolism", "--input", str(ledger_file),
                          "--from", "2000", "--to", "2005", "--format", "csv")
@@ -379,6 +386,41 @@ class TestHostileInputOnTheCommandLine:
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         self.assert_one_error_line(run_cli("report", "--input", str(path)),
                                    "row 4", "field larger than field limit")
+
+    @pytest.mark.parametrize("argv", [
+        ["report", "--input", "x.csv", "--format", "xml"],
+        ["report", "--input", "x.csv", "--from", "abc"],
+        ["report"],
+        ["summary", "--input", "x.csv"],
+        ["report", "--input", "x.csv", "extra\nargument"],
+    ], ids=["format", "year", "no-input", "command", "unrecognized"])
+    def test_usage_error(self, argv):
+        self.assert_one_error_line(run_cli(*argv))
+
+    @pytest.mark.parametrize("flag", ["--input", "--out-dir"])
+    def test_nul_byte_in_a_path(self, ledger_file, capsys, flag):
+        # A shell cannot pass a NUL byte, so this calls main in-process.
+        argv = ["figures", "--input", str(ledger_file), "--out-dir", "."]
+        argv[argv.index(flag) + 1] = "a\0b"
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("error: argument") and "NUL byte" in err
+
+    def test_help_still_exits_zero(self):
+        result = run_cli("report", "--help")
+        assert result.returncode == 0
+        assert "--input" in result.stdout
+
+    def test_newline_in_a_column_name(self, tmp_path):
+        path = tmp_path / "ledger.csv"
+        text = lira_text(random_ledger(seed=21))
+        path.write_text('"ye\nar"' + text[len("year"):], encoding="utf-8")
+        self.assert_one_error_line(run_cli("report", "--input", str(path)), "unknown column")
+
+    def test_newline_in_an_item_name(self, ledger_file):
+        result = run_cli("metabolism", "--input", str(ledger_file), "--numerator", "a\nb")
+        self.assert_one_error_line(result, "unknown item 'a\\nb'")
 
     def test_two_character_delimiter(self, ledger_file):
         result = run_cli("report", "--input", str(ledger_file), "--delimiter", ";;")

@@ -341,6 +341,12 @@ class TestExtractSeries:
         series = extract_series(ledger, "total_revenue", (1997, 2015))
         assert series.years == ledger.years
 
+    def test_ledger_window_is_inclusive_and_none_keeps_the_ledger(self):
+        ledger = random_ledger(seed=5, n_years=10, first_year=2000)
+        assert ledger.window(None) is ledger
+        assert ledger.window((2002, 2004)).years == (2002, 2003, 2004)
+        assert ledger.window((1990, 1999)).records == ()
+
 
 class TestValidateLedger:
     def test_exact_decomposition_has_no_finding(self):
