@@ -12,6 +12,7 @@ and only when every one is written are they renamed into place.
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -19,6 +20,7 @@ import os
 import sys
 from dataclasses import fields
 from enum import Enum
+from itertools import chain
 from pathlib import Path
 from typing import Mapping
 
@@ -67,6 +69,11 @@ _REFERENCE_CUM_REVENUE = 1.1872
 # Rendering
 
 
+@functools.cache
+def _field_names(result_type) -> tuple[str, ...]:
+    return tuple(field.name for field in fields(result_type))
+
+
 def _fields(result) -> dict:
     """A result's fields by name in declaration order, shared, not copied.
 
@@ -74,14 +81,87 @@ def _fields(result) -> dict:
     are passed on as they are.
     """
     payload = {}
-    for field in fields(result):
-        value = getattr(result, field.name)
-        payload[field.name] = value.value if isinstance(value, Enum) else value
+    for name in _field_names(type(result)):
+        value = getattr(result, name)
+        payload[name] = value.value if isinstance(value, Enum) else value
     return payload
 
 
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
+@functools.cache
+def _encode_at(depth: int):
+    """json's C encoder, laying out a flat container's items as at ``depth``.
+
+    Given no ``indent``, json encodes in C; the item separator then writes the
+    newline and indentation that ``indent=2`` puts between items at ``depth``.
+    """
+    separators = (",\n" + "  " * (depth + 1), ": ")
+    return json.JSONEncoder(sort_keys=True, separators=separators).encode
+
+
+def _emit(value, depth: int, out) -> None:
+    """Pass ``value``'s ``indent=2`` JSON at ``depth`` to ``out`` in pieces."""
+    if isinstance(value, dict):
+        children, brackets = value.values(), "{}"
+    elif isinstance(value, (list, tuple)):
+        children, brackets = value, "[]"
+    else:  # a scalar, or a type json rejects with its own TypeError
+        out(_encode_at(depth)(value))
+        return
+    if not children:
+        out(brackets)
+        return
+    outer, inner = "\n" + "  " * depth, "\n" + "  " * (depth + 1)
+    types = set(map(type, children))
+    if (brackets == "[]" and types == {dict} and all(children)
+            and set(map(type, chain.from_iterable(map(dict.values, children)))) <= _SCALARS):
+        # A list of flat records, encoded at the records' depth. ensure_ascii
+        # escapes every newline in a string, so each "},\n" closes a record:
+        # move the list's own separators and brackets out one level.
+        deeper = "\n" + "  " * (depth + 2)
+        text = _encode_at(depth + 1)(value)
+        out("[" + inner + "{" + deeper)
+        out(text[2:-2].replace("}," + deeper + "{", inner + "}," + inner + "{" + deeper))
+        out(inner + "}" + outer + "]")
+        return
+    out(brackets[0] + inner)
+    if types <= _SCALARS:
+        out(_encode_at(depth)(value)[1:-1])
+    else:
+        # One C call encodes every key and scalar child, a 0 standing in for
+        # each other child; that 0 is then replaced by the child's own JSON.
+        if brackets == "{}":
+            items = sorted(value.items())  # json's order, kept by the C encoder
+            children = [child for _, child in items]
+            shell = {key: child if type(child) in _SCALARS else 0 for key, child in items}
+        else:
+            shell = [child if type(child) in _SCALARS else 0 for child in children]
+        pieces = _encode_at(depth)(shell)[1:-1].split("," + inner)
+        for i, (piece, child) in enumerate(zip(pieces, children)):
+            if i:
+                out("," + inner)
+            if type(child) in _SCALARS:
+                out(piece)
+            else:
+                out(piece[:-1])
+                _emit(child, depth + 1, out)
+    out(outer + brackets[1])
+
+
 def _json(payload) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    """``json.dumps(payload, sort_keys=True, indent=2)`` plus a newline, byte for byte.
+
+    json encodes in C only without ``indent``, so each container is encoded
+    in one C call and laid out by its separators: a flat one whole, a list
+    of flat records whole, any other with its container children left to
+    their own calls.
+    """
+    parts: list[str] = []
+    _emit(payload, 0, parts.append)
+    parts.append("\n")
+    return "".join(parts)
 
 
 def _csv(header: list[str], rows) -> str:
@@ -241,8 +321,12 @@ def _render_cross_checks(report: Report) -> str:
     points = report.metabolism_series
     first, last = points[0], points[-1]
     config = report.config
-    growth_num = growth_over(report.window, config.numerator_item)
-    growth_den = growth_over(report.window, config.denominator_item)
+    # The report already holds the growth of every trend item over the window.
+    growth_num, growth_den = (
+        report.growth_table[item] if item in report.growth_table
+        else growth_over(report.window, item)
+        for item in (config.numerator_item, config.denominator_item)
+    )
     share_ratio = last.share_percent / first.share_percent
     predicted = (1.0 + growth_num.cumulative) / (1.0 + growth_den.cumulative)
     reference = (1.0 + _REFERENCE_CUM_PERSONNEL) / (1.0 + _REFERENCE_CUM_REVENUE)
@@ -365,8 +449,12 @@ def _write_figures(report: Report, figure_ids, output_dir: Path) -> list[Path]:
     """Write each figure's data as ``<figure_id>.csv``, all or nothing.
 
     Every figure is rendered before a file is opened, and every temp file is
-    written before the first is renamed into place. On an ``OSError`` the
-    temp files and the figure files this call already renamed are removed.
+    written before the first is renamed into place. A file already at a
+    figure's path is first renamed aside to ``.<figure_id>.csv.bak``; a
+    directory there is left where it is, and the rename over it fails. On an
+    ``OSError`` the temp files and the figure files this call put in place
+    are removed and the old files renamed back, so the directory is as it
+    was; on success the old files are removed.
     """
     output_dir = Path(output_dir)
     staged = [
@@ -375,18 +463,27 @@ def _write_figures(report: Report, figure_ids, output_dir: Path) -> list[Path]:
         for figure_id in dict.fromkeys(figure_ids)
     ]
     written: list[Path] = []
+    set_aside: list[tuple[Path, Path]] = []
     try:
         for tmp_path, _, text in staged:
             with open(tmp_path, "w", encoding="utf-8", newline="") as stream:
                 written.append(tmp_path)
                 stream.write(text)
         for tmp_path, path, _ in staged:
+            if path.is_symlink() or (path.exists() and not path.is_dir()):
+                backup = path.with_name(f".{path.name}.bak")
+                os.replace(path, backup)
+                set_aside.append((backup, path))
             os.replace(tmp_path, path)
             written.append(path)
     except OSError:
         for path in written:
             path.unlink(missing_ok=True)
+        for backup, path in set_aside:
+            os.replace(backup, path)
         raise
+    for backup, _ in set_aside:
+        backup.unlink()
     return [output_dir / f"{figure_id}.csv" for figure_id in figure_ids]
 
 

@@ -276,7 +276,10 @@ def parse_ledger(stream: TextIO, organization: str = "", delimiter: str = ",") -
             column, or undecodable or unreadable input, naming the offending
             row and column where known.
     """
-    reader = csv.reader(stream, delimiter=delimiter)
+    try:
+        reader = csv.reader(stream, delimiter=delimiter)
+    except ValueError as exc:  # from Python 3.13 on: a line break or the quote
+        raise ParseError(f"unusable delimiter {delimiter!r}: {exc}") from None
     rows = _read_rows(reader)
     header = next(rows, None)
     if header is None:
@@ -403,7 +406,11 @@ def validate_ledger(ledger: LedgerSeries) -> list[ValidationFinding]:
                 )
         components = [getattr(record, name) for name in PERSONNEL_COMPONENTS]
         if None not in components:
-            total = sum(components)
+            # Left to right, as sum() did before Python 3.12 compensated it:
+            # the total is printed, so it must not change with the version.
+            total = 0.0
+            for component in components:
+                total += component
             reference = record.cost_of_personnel
             if abs(total - reference) > DECOMPOSITION_RTOL * abs(reference):
                 findings.append(

@@ -313,11 +313,13 @@ class TestCommandLine:
     def test_figures_subcommand_writes_all(self, ledger_file, tmp_path):
         out_dir = tmp_path / "figs"
         out_dir.mkdir()
+        (out_dir / "fig1.csv").write_text("OLD")  # replaced, leaving no backup
         result = run_cli("figures", "--input", str(ledger_file),
                          "--out-dir", str(out_dir))
         assert result.returncode == 0
         written = sorted(p.name for p in out_dir.iterdir())
         assert written == sorted(f"{f}.csv" for f in FIGURE_IDS)
+        assert (out_dir / "fig1.csv").read_text().startswith("item,mean\n")
         assert all(str(out_dir) in line for line in result.stdout.splitlines())
 
     def test_figures_selection(self, ledger_file, tmp_path):
@@ -331,10 +333,12 @@ class TestCommandLine:
     def test_figures_leave_the_directory_as_it_was_on_failure(self, ledger_file, tmp_path):
         out_dir = tmp_path / "figs"
         (out_dir / "fig3.csv").mkdir(parents=True)  # blocks the third rename
+        (out_dir / "fig1.csv").write_text("OLD")  # renamed over before the failure
         result = run_cli("figures", "--input", str(ledger_file), "--out-dir", str(out_dir))
         assert result.returncode == 1
         assert len(result.stderr.splitlines()) == 1
-        assert [p.name for p in out_dir.iterdir()] == ["fig3.csv"]
+        assert sorted(p.name for p in out_dir.iterdir()) == ["fig1.csv", "fig3.csv"]
+        assert (out_dir / "fig1.csv").read_text() == "OLD"
         assert list((out_dir / "fig3.csv").iterdir()) == []
 
     def test_period_flags(self, ledger_file):
@@ -425,3 +429,9 @@ class TestHostileInputOnTheCommandLine:
     def test_two_character_delimiter(self, ledger_file):
         result = run_cli("report", "--input", str(ledger_file), "--delimiter", ";;")
         self.assert_one_error_line(result, "delimiter must be one character")
+
+    @pytest.mark.parametrize("delimiter", ["\n", "\r", '"'])
+    def test_delimiter_the_csv_module_refuses(self, ledger_file, delimiter):
+        # Python 3.13's csv.reader raises ValueError on these; older ones read no columns.
+        result = run_cli("report", "--input", str(ledger_file), "--delimiter", delimiter)
+        self.assert_one_error_line(result)

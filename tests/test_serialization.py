@@ -3,7 +3,9 @@
 The emitters read result fields in place. The reference below serializes the
 same results through ``dataclasses.asdict``, which copies every field (a fit's
 residuals included), and must produce the same bytes, for the full report and
-for each single-analysis command, on ledgers with lira years and defects.
+for each single-analysis command, on ledgers with lira years and defects, one
+of them 2000 rows long. The JSON writer itself must match ``json.dumps`` with
+``indent=2`` on any tree of dicts, lists and tuples.
 """
 
 import csv
@@ -12,10 +14,13 @@ import json
 from dataclasses import asdict
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ecometab.cli import (
     TREND_ITEMS,
     ReportConfig,
+    _json,
     main,
     report_to_csv,
     report_to_json,
@@ -143,19 +148,24 @@ def reference_commands(ledger, period, alpha):
     }
 
 
+# (seed, kind, years, window); the 2000-year ledger has 82 share crossings.
 CASES = [
-    (seed, kind, window)
+    (seed, kind, 24, window)
     for seed in (31, 32)
     for kind in VARIANT_KINDS
     for window in WINDOWS
-]
+] + [(31, "mismatch", 2000, WINDOWS[0])]
 
 
-@pytest.fixture(params=CASES, ids=[f"{kind}{seed}-w{WINDOWS.index(w)}" for seed, kind, w in CASES])
+def case_id(seed, kind, years, window):
+    return f"{kind}{seed}{'' if years == 24 else f'x{years}'}-w{WINDOWS.index(window)}"
+
+
+@pytest.fixture(params=CASES, ids=[case_id(*c) for c in CASES])
 def case(request, tmp_path):
-    seed, kind, (head, tail, alpha) = request.param
+    seed, kind, years, (head, tail, alpha) = request.param
     path = tmp_path / f"{kind}{seed}.csv"
-    path.write_text(lira_text(variant_ledger(seed, kind, n_years=24, first_year=1992)),
+    path.write_text(lira_text(variant_ledger(seed, kind, n_years=years, first_year=1992)),
                     encoding="utf-8")
     with open(path, encoding="utf-8", newline="") as stream:
         ledger = parse_ledger(stream, organization=path.stem)
@@ -181,3 +191,56 @@ def test_command_outputs_match_the_deep_copy_reference(case, capsys):
         out, err = capsys.readouterr()
         assert (command, output_format, code, err) == (command, output_format, 0, "")
         assert out == text, (command, output_format)
+
+
+# The JSON writer against json.dumps itself, on trees the reports never build.
+
+EDGE_PAYLOADS = [
+    {"nan": float("nan"), "inf": float("inf"), "-inf": float("-inf"),
+     "-0.0": -0.0, "tiny": 5e-324, "big": 10**30},
+    {}, [], (), {"empty": [{}, [], ()]},
+    (1.5, (2, ("three",)), [None, True, False]),
+    {"text": ["},\n{", "}],\n  [{", "caf\u00e9 \u4e2d \U0001f600", 'q"}\\'],
+     "records": [{"a": "},\n    {", "b": None}, {"a": "}\n", "c": float("nan")}]},
+    [1, "a", None, {"k": [1, {"m": (2, 3)}]}, [], {}, [{"a": 1}, {"b": 2}]],
+    [{"a": 1}, {}], [{"a": 1}, {"b": {"c": 1}}], [{"a": 1}, [1, 2]], [[1, 2], [3]],
+    {10: {"x": (1,)}, 2: [{"a": 1}, [3]], -1: "int keys, sorted as numbers"},
+    "text", -7, None, 0.1,
+]
+
+
+@pytest.mark.parametrize("payload", EDGE_PAYLOADS)
+def test_json_writer_matches_json_dumps_on_edge_payloads(payload):
+    assert _json(payload) == dumps(payload)
+
+
+@pytest.mark.parametrize("payload", [
+    {"a": {1, 2}}, [object()], {"a": [{"b": 1}, {"c": {1}}]}, {(1, 2): [1]}, {(1, 2): 1},
+])
+def test_json_writer_rejects_what_json_rejects(payload):
+    with pytest.raises(TypeError):
+        dumps(payload)
+    with pytest.raises(TypeError):
+        _json(payload)
+
+
+_leaves = (st.none() | st.booleans() | st.integers()
+           | st.floats(allow_nan=True, allow_infinity=True) | st.text(max_size=8))
+_records = st.dictionaries(st.text(max_size=6), _leaves, min_size=1, max_size=4)
+_trees = st.recursive(
+    _leaves | _records,
+    lambda children: (
+        st.lists(children, max_size=5)
+        | st.lists(children, max_size=5).map(tuple)
+        | st.dictionaries(st.text(max_size=6), children, max_size=5)
+        | st.lists(_records, min_size=1, max_size=5)
+        | st.lists(_records | children, max_size=5)
+    ),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_trees)
+def test_json_writer_matches_json_dumps_on_random_trees(payload):
+    assert _json(payload) == dumps(payload)
