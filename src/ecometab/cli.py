@@ -18,8 +18,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import fields
-from enum import Enum
 from itertools import chain
 from pathlib import Path
 from typing import Mapping
@@ -69,22 +67,18 @@ _REFERENCE_CUM_REVENUE = 1.1872
 # Rendering
 
 
-@functools.cache
-def _field_names(result_type) -> tuple[str, ...]:
-    return tuple(field.name for field in fields(result_type))
-
-
 def _fields(result) -> dict:
-    """A result's fields by name in declaration order, shared, not copied.
+    """A result's fields by name in declaration order: its own ``__dict__``, shared.
 
-    Enum members become their values; tuples, such as a fit's residuals,
-    are passed on as they are.
+    A frozen dataclass without slots keeps exactly its fields there, in
+    declaration order, as long as it sets no attribute outside its fields;
+    no result type does. Callers only read the dict. Tuples, such as a fit's
+    residuals, are passed on as they are; the one Enum field, an allometric
+    fit's classification, becomes its value.
     """
-    payload = {}
-    for name in _field_names(type(result)):
-        value = getattr(result, name)
-        payload[name] = value.value if isinstance(value, Enum) else value
-    return payload
+    if isinstance(result, AllometricFit):
+        return {**vars(result), "classification": result.classification.value}
+    return vars(result)
 
 
 _SCALARS = frozenset((str, int, float, bool, type(None)))
@@ -232,14 +226,8 @@ def _columns(rows: list[tuple[str, ...]]) -> str:
     return "\n".join(lines)
 
 
-def render_table(fits: Mapping[str, RegressionFit], output_format: str = "text") -> str:
-    """Render OLS fits as a table: estimate, (se), stars, std.coef, R2, F (p)."""
-    if output_format == "json":
-        return _json(_table_json(fits))
-    if output_format == "csv":
-        return _csv(["item", "field", "value"], _table_rows(fits))
-    if output_format != "text":
-        raise DomainError(f"unknown output format '{output_format}'")
+def render_table(fits: Mapping[str, RegressionFit]) -> str:
+    """Render OLS fits as a text table: estimate, (se), stars, std.coef, R2, F (p)."""
     rows = [("item", "intercept (se)", "slope (se)", "std.coef", "R2", "F (p)")]
     for item, fit in fits.items():
         flags = []
@@ -448,42 +436,49 @@ def _figure_rows(report: Report, figure_id: str) -> tuple[list[str], list[list[s
 def _write_figures(report: Report, figure_ids, output_dir: Path) -> list[Path]:
     """Write each figure's data as ``<figure_id>.csv``, all or nothing.
 
-    Every figure is rendered before a file is opened, and every temp file is
-    written before the first is renamed into place. A file already at a
-    figure's path is first renamed aside to ``.<figure_id>.csv.bak``; a
+    Every figure is rendered before a file is opened, and every one is
+    written into a staging directory, made for this call inside
+    ``output_dir``, before the first is renamed into place. A file already at
+    a figure's path is first renamed aside into the staging directory; a
     directory there is left where it is, and the rename over it fails. On an
-    ``OSError`` the temp files and the figure files this call put in place
-    are removed and the old files renamed back, so the directory is as it
-    was; on success the old files are removed.
+    ``OSError`` the figure files this call put in place are removed and the
+    old files renamed back, so the directory is as it was; on success the old
+    files are removed. Either way the staging directory then goes, and no
+    file this call did not create is touched, whatever its name.
     """
+    import tempfile  # here, so that a cold ``report`` does not import it
+
     output_dir = Path(output_dir)
     staged = [
-        (output_dir / f".{figure_id}.csv.tmp", output_dir / f"{figure_id}.csv",
-         _csv(*_figure_rows(report, figure_id)))
+        (f"{figure_id}.csv", _csv(*_figure_rows(report, figure_id)))
         for figure_id in dict.fromkeys(figure_ids)
     ]
-    written: list[Path] = []
-    set_aside: list[tuple[Path, Path]] = []
+    stage = Path(tempfile.mkdtemp(prefix=".ecometab-", dir=output_dir))
+    placed: list[str] = []
+    set_aside: list[str] = []
     try:
-        for tmp_path, _, text in staged:
-            with open(tmp_path, "w", encoding="utf-8", newline="") as stream:
-                written.append(tmp_path)
+        for name, text in staged:
+            with open(stage / name, "w", encoding="utf-8", newline="") as stream:
                 stream.write(text)
-        for tmp_path, path, _ in staged:
+        for name, _ in staged:
+            path = output_dir / name
             if path.is_symlink() or (path.exists() and not path.is_dir()):
-                backup = path.with_name(f".{path.name}.bak")
-                os.replace(path, backup)
-                set_aside.append((backup, path))
-            os.replace(tmp_path, path)
-            written.append(path)
+                os.replace(path, stage / f"{name}.bak")
+                set_aside.append(name)
+            os.replace(stage / name, path)
+            placed.append(name)
     except OSError:
-        for path in written:
-            path.unlink(missing_ok=True)
-        for backup, path in set_aside:
-            os.replace(backup, path)
+        for name in placed:
+            (output_dir / name).unlink(missing_ok=True)
+        for name in set_aside:
+            os.replace(stage / f"{name}.bak", output_dir / name)
+        for name, _ in staged:
+            (stage / name).unlink(missing_ok=True)
+        stage.rmdir()
         raise
-    for backup, _ in set_aside:
-        backup.unlink()
+    for name in set_aside:
+        (stage / f"{name}.bak").unlink()
+    stage.rmdir()
     return [output_dir / f"{figure_id}.csv" for figure_id in figure_ids]
 
 

@@ -103,23 +103,14 @@ class TestRenderTable:
         return RegressionFit(**{**fit.__dict__, "p_slope": p_slope})
 
     def test_stars_for_significant_slope(self):
-        text = render_table({"item_a": self.fit_with_p(0.0004)}, "text")
+        text = render_table({"item_a": self.fit_with_p(0.0004)})
         assert "***" in text
 
     def test_no_stars_for_insignificant_slope(self):
         fit = self.fit_with_p(0.2)
-        text = render_table({"item_a": fit}, "text")
+        text = render_table({"item_a": fit})
         slope_cell = text.splitlines()[1]
         assert "*" not in slope_cell
-
-    def test_json_round_trip(self, report):
-        payload = json.loads(render_table(report.trend_table, "json"))
-        assert payload["total_revenue"]["slope"] == report.trend_table["total_revenue"].slope
-
-    def test_csv_has_full_precision(self, report):
-        text = render_table(report.trend_table, "csv")
-        slope = report.trend_table["total_revenue"].slope
-        assert repr(slope) in text
 
 
 class TestReportJson:
@@ -310,16 +301,22 @@ class TestCommandLine:
         assert result.returncode == 0
         assert "year_gap" in result.stdout
 
+    USER_DOTFILES = {".fig1.csv.bak": "MINE", ".fig2.csv.tmp": "TMP"}
+
     def test_figures_subcommand_writes_all(self, ledger_file, tmp_path):
         out_dir = tmp_path / "figs"
         out_dir.mkdir()
         (out_dir / "fig1.csv").write_text("OLD")  # replaced, leaving no backup
+        for name, text in self.USER_DOTFILES.items():  # not the run's, so left alone
+            (out_dir / name).write_text(text)
         result = run_cli("figures", "--input", str(ledger_file),
                          "--out-dir", str(out_dir))
         assert result.returncode == 0
         written = sorted(p.name for p in out_dir.iterdir())
-        assert written == sorted(f"{f}.csv" for f in FIGURE_IDS)
+        assert written == sorted([*(f"{f}.csv" for f in FIGURE_IDS), *self.USER_DOTFILES])
         assert (out_dir / "fig1.csv").read_text().startswith("item,mean\n")
+        assert all((out_dir / name).read_text() == text
+                   for name, text in self.USER_DOTFILES.items())
         assert all(str(out_dir) in line for line in result.stdout.splitlines())
 
     def test_figures_selection(self, ledger_file, tmp_path):
@@ -334,11 +331,17 @@ class TestCommandLine:
         out_dir = tmp_path / "figs"
         (out_dir / "fig3.csv").mkdir(parents=True)  # blocks the third rename
         (out_dir / "fig1.csv").write_text("OLD")  # renamed over before the failure
+        for name, text in self.USER_DOTFILES.items():
+            (out_dir / name).write_text(text)
         result = run_cli("figures", "--input", str(ledger_file), "--out-dir", str(out_dir))
         assert result.returncode == 1
         assert len(result.stderr.splitlines()) == 1
-        assert sorted(p.name for p in out_dir.iterdir()) == ["fig1.csv", "fig3.csv"]
+        assert result.stderr.startswith("error:")
+        assert sorted(p.name for p in out_dir.iterdir()) == sorted(
+            ["fig1.csv", "fig3.csv", *self.USER_DOTFILES])
         assert (out_dir / "fig1.csv").read_text() == "OLD"
+        assert all((out_dir / name).read_text() == text
+                   for name, text in self.USER_DOTFILES.items())
         assert list((out_dir / "fig3.csv").iterdir()) == []
 
     def test_period_flags(self, ledger_file):

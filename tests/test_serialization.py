@@ -22,6 +22,7 @@ from ecometab.cli import (
     ReportConfig,
     _json,
     main,
+    render_report_text,
     report_to_csv,
     report_to_json,
     run_report,
@@ -191,6 +192,20 @@ def test_command_outputs_match_the_deep_copy_reference(case, capsys):
         out, err = capsys.readouterr()
         assert (command, output_format, code, err) == (command, output_format, 0, "")
         assert out == text, (command, output_format)
+
+
+def test_rendering_leaves_the_results_as_they_were(tmp_path):
+    # The emitters hand each result's own __dict__ to the encoder, not a copy.
+    path = tmp_path / "mismatch31.csv"
+    path.write_text(lira_text(variant_ledger(31, "mismatch", n_years=24, first_year=1992)),
+                    encoding="utf-8")
+    report = run_report(ReportConfig(input_path=path, period=(1992, 2015)))
+    assert report.crossings and report.validation_findings
+    before = asdict(report)
+    renderers = (report_to_json, report_to_csv, render_report_text)
+    first = [render(report) for render in renderers]
+    assert [render(report) for render in renderers] == first
+    assert asdict(report) == before
 
 
 # The JSON writer against json.dumps itself, on trees the reports never build.
