@@ -22,7 +22,7 @@ from itertools import chain
 from pathlib import Path
 from typing import Mapping
 
-from .errors import DomainError, EcometabError, EmptyPeriodError
+from .errors import DomainError, EcometabError
 from .ledger import (
     MAIN_COST_ITEMS,
     MONEY_ITEMS,
@@ -189,6 +189,10 @@ def _table_rows(table: Mapping, *prefix: str):
 
 def _share_rows(points: tuple[MetabolismPoint, ...], *prefix: str):
     return ([*prefix, str(p.year), repr(p.share_percent)] for p in points)
+
+
+def _finding_rows(findings: tuple[ValidationFinding, ...], *prefix: str):
+    return ([*prefix, f.kind, str(f.year), f.message] for f in findings)
 
 
 def _metabolism_json(config: ReportConfig, points: tuple[MetabolismPoint, ...]) -> dict:
@@ -392,8 +396,7 @@ def _report_rows(report: Report):
     for c in report.crossings:
         yield ["crossings", f"{c.start_year}-{c.end_year}", "crossing_year", repr(c.crossing_year)]
     yield from _table_rows(report.mean_costs.by_item, "mean_costs")
-    for f in report.validation_findings:
-        yield ["validation", f.kind, str(f.year), f.message]
+    yield from _finding_rows(report.validation_findings, "validation")
 
 
 def report_to_csv(report: Report) -> str:
@@ -557,8 +560,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _analysis(command: str, window: LedgerSeries, config: ReportConfig, args):
-    """One analysis over the window: (JSON payload, CSV header, CSV rows, text)."""
+def _analysis(command: str, ledger: LedgerSeries, config: ReportConfig, args):
+    """One analysis: (JSON payload, CSV header, CSV rows, text).
+
+    Validation covers the whole ledger, as in the report; every other
+    analysis runs on the window.
+    """
+    if command == "validate":
+        findings = tuple(validate_ledger(ledger))
+        return ({"validation": [_fields(f) for f in findings]}, ["kind", "year", "message"],
+                _finding_rows(findings), lambda: _render_findings_text(findings))
+    window = ledger.window(config.period)
     numerator, denominator = config.numerator_item, config.denominator_item
     if command in ("trend", "growth"):
         analyze, render = ((trend_fit, render_table) if command == "trend"
@@ -590,17 +602,7 @@ def _run_command(command: str, config: ReportConfig, args: argparse.Namespace) -
     if command == "figures":
         paths = _write_figures(run_report(config), args.figures or FIGURE_IDS, args.output_dir)
         return "".join(f"{path}\n" for path in paths)
-    ledger = load_ledger(config)
-    if command == "validate":
-        return _render_findings_text(tuple(validate_ledger(ledger)))
-    try:
-        payload, header, rows, text = _analysis(
-            command, ledger.window(config.period), config, args
-        )
-    except EmptyPeriodError:
-        # Only an empty window raises this; name it, as run_report does.
-        start, end = config.period
-        raise EmptyPeriodError(f"no records in period {start}-{end}") from None
+    payload, header, rows, text = _analysis(command, load_ledger(config), config, args)
     if args.output_format == "json":
         return _json(payload)
     if args.output_format == "csv":

@@ -12,7 +12,8 @@ of exact lowercase column names:
 the fixed ECB rate of 1936.27 lire per euro. A blank cell means "not
 reported" and is never conflated with zero. Numbers and years are ASCII
 digits: a ``.`` decimal separator, no thousands separators, no ``_``
-digit grouping. A leading UTF-8 byte-order mark is ignored.
+digit grouping. Years run from 1 to 9999. A leading UTF-8 byte-order mark
+is ignored.
 
 All types here are immutable after construction and safe to share across
 threads; parsing is single-threaded per stream.
@@ -31,6 +32,9 @@ LIRE_PER_EURO = 1936.27
 
 # Relative tolerance for the personnel-components decomposition check.
 DECOMPOSITION_RTOL = 1e-6
+
+# Accepted years: datetime.MINYEAR to datetime.MAXYEAR, without importing it.
+_MIN_YEAR, _MAX_YEAR = 1, 9999
 
 
 class Currency(Enum):
@@ -154,18 +158,17 @@ class LedgerSeries:
     def years(self) -> tuple[int, ...]:
         return tuple(r.year for r in self.records)
 
-    def window(self, period: tuple[int, int] | None) -> "LedgerSeries":
+    def window(self, period: tuple[int, int]) -> "LedgerSeries":
         """The records inside an inclusive (first, last) year window.
 
-        ``None`` is no window and returns this series itself. The result may
-        hold no records.
+        Raises:
+            EmptyPeriodError: no record falls inside the window.
         """
-        if period is None:
-            return self
         start, end = period
-        return LedgerSeries(
-            self.organization, tuple(r for r in self.records if start <= r.year <= end)
-        )
+        records = tuple(r for r in self.records if start <= r.year <= end)
+        if not records:
+            raise EmptyPeriodError(f"no records in period {start}-{end}")
+        return LedgerSeries(self.organization, records)
 
 
 @dataclass(frozen=True)
@@ -238,9 +241,15 @@ def _parse_year(cell: str, row: int) -> int:
     # int() also takes "1_997" and non-ASCII digits; the file format does not.
     if cell.isascii() and "_" not in cell:
         try:
-            return int(cell)
+            year = int(cell)
         except ValueError:
             pass
+        else:
+            if _MIN_YEAR <= year <= _MAX_YEAR:
+                return year
+            raise ParseError(
+                f"year {cell!r} outside {_MIN_YEAR}-{_MAX_YEAR}", row=row, column="year"
+            )
     raise ParseError(f"malformed year {cell!r}", row=row, column="year")
 
 
@@ -364,28 +373,23 @@ def write_ledger(ledger: LedgerSeries, stream: TextIO, delimiter: str = ",") -> 
         writer.writerow(row)
 
 
-def extract_series(
-    ledger: LedgerSeries, item: str, period: tuple[int, int] | None = None
-) -> Series:
-    """Select one item as a (year, value) series, optionally windowed.
+def extract_series(ledger: LedgerSeries, item: str) -> Series:
+    """Select one item as a (year, value) series; every record must report it.
 
-    ``period`` is an inclusive (first, last) year window; records outside it
-    are dropped. Every record inside the window must report the item.
+    Window the ledger first (``LedgerSeries.window``) to select a year range.
     """
     if item not in _MONEY_ITEM_SET:
         raise DomainError(f"unknown item {item!r}")
-    selected = ledger.window(period).records
-    if not selected:
-        raise EmptyPeriodError(
-            "no records in period" if period is None else f"no records in period {period[0]}-{period[1]}"
-        )
-    values = tuple(getattr(r, item) for r in selected)
+    records = ledger.records
+    if not records:
+        raise EmptyPeriodError("no records in period")
+    values = tuple(getattr(r, item) for r in records)
     if None in values:
-        missing = [r.year for r, value in zip(selected, values) if value is None]
+        missing = [r.year for r, value in zip(records, values) if value is None]
         raise MissingDataError(
             f"'{item}' not reported for years: {', '.join(str(y) for y in missing)}"
         )
-    return Series(tuple(r.year for r in selected), values)
+    return Series(tuple(r.year for r in records), values)
 
 
 def validate_ledger(ledger: LedgerSeries) -> list[ValidationFinding]:

@@ -92,11 +92,9 @@ class CostProfile:
     omitted: tuple[str, ...]
 
 
-def trend_fit(
-    ledger: LedgerSeries, item: str, period: tuple[int, int] | None = None
-) -> RegressionFit:
+def trend_fit(ledger: LedgerSeries, item: str) -> RegressionFit:
     """OLS trend of one item against calendar year."""
-    values = extract_series(ledger, item, period)
+    values = extract_series(ledger, item)
     years = Series(values.years, tuple(float(y) for y in values.years))
     return ols_fit(years, values)
 
@@ -105,11 +103,10 @@ def metabolism_index(
     ledger: LedgerSeries,
     numerator: str = "cost_of_personnel",
     denominator: str = "total_revenue",
-    period: tuple[int, int] | None = None,
 ) -> tuple[MetabolismPoint, ...]:
     """Yearly share of ``numerator`` over ``denominator``, in percent."""
-    num = extract_series(ledger, numerator, period)
-    den = extract_series(ledger, denominator, period)
+    num = extract_series(ledger, numerator)
+    den = extract_series(ledger, denominator)
     points = []
     for year, n_value, d_value in zip(num.years, num.values, den.values):
         if d_value <= 0:
@@ -168,18 +165,18 @@ def allometric_fit(
     ledger: LedgerSeries,
     dependent_item: str = "cost_of_personnel",
     explanatory_item: str = "total_revenue",
-    period: tuple[int, int] | None = None,
+    *,
     alpha: float = 0.05,
 ) -> AllometricFit:
     """Fit dependent = prefactor * explanatory^exponent on log-log scale.
 
-    Both series must be strictly positive over the period. The exponent's
+    Both series must be strictly positive over the ledger. The exponent's
     standard error drives the allometry classification at ``alpha``.
     """
     if not 0.0 < alpha < 1.0:
         raise DomainError("alpha must be in (0, 1)")
-    dep = extract_series(ledger, dependent_item, period)
-    exp_ = extract_series(ledger, explanatory_item, period)
+    dep = extract_series(ledger, dependent_item)
+    exp_ = extract_series(ledger, explanatory_item)
     for series, item in ((dep, dependent_item), (exp_, explanatory_item)):
         for year, value in series.items():
             if value <= 0:
@@ -237,17 +234,15 @@ def crossover_years(a: Series, b: Series) -> tuple[Crossing, ...]:
     return tuple(crossings)
 
 
-def mean_cost_profile(
-    ledger: LedgerSeries, period: tuple[int, int] | None = None
-) -> CostProfile:
-    """Descriptives of every cost item reported in all period records."""
-    selected = ledger.window(period).records
-    if not selected:
+def mean_cost_profile(ledger: LedgerSeries) -> CostProfile:
+    """Descriptives of every cost item reported in all of the ledger's records."""
+    records = ledger.records
+    if not records:
         raise InsufficientDataError("no records in the requested period")
     by_item: dict[str, Descriptives] = {}
     omitted: list[str] = []
     for item in COST_ITEMS:
-        values = [getattr(r, item) for r in selected]
+        values = [getattr(r, item) for r in records]
         if any(v is None for v in values):
             omitted.append(item)
             continue

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
 
-from .errors import DomainError, EcometabError, EmptyPeriodError
+from .errors import DomainError, EcometabError
 from .ledger import (
     LedgerSeries,
     Series,
@@ -99,14 +99,11 @@ def run_report(config: ReportConfig) -> Report:
     """Run every analysis; any failure names the analysis that caused it."""
     ledger = load_ledger(config)
     window = ledger.window(config.period)
-    if not window.records:
-        start, end = config.period
-        raise EmptyPeriodError(f"no records in period {start}-{end}")
     numerator, denominator = config.numerator_item, config.denominator_item
 
-    def step(name, analysis, *args):
+    def step(name, analysis, *args, **kwargs):
         try:
-            return analysis(*args)
+            return analysis(*args, **kwargs)
         except EcometabError as exc:
             raise EcometabError(f"{name}: {exc}") from exc
 
@@ -115,7 +112,7 @@ def run_report(config: ReportConfig) -> Report:
         item: step(f"growth[{item}]", growth_over, window, item) for item in TREND_ITEMS
     }
     allometric_table = step(
-        "allometric", allometric_fit, window, numerator, denominator, None, config.alpha
+        "allometric", allometric_fit, window, numerator, denominator, alpha=config.alpha
     )
     metabolism_series = step("metabolism", metabolism_index, window, numerator, denominator)
     other_costs_share = step(

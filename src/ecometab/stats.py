@@ -10,7 +10,7 @@ separately, so a probability close to 1 keeps its complement's precision.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .errors import (
@@ -45,6 +45,11 @@ _AS70_Q = (0.0993484626060, 0.588581570495, 0.531103462366, 0.103537752850, 0.38
 # Residual sum of squares below this fraction of the response variance is
 # treated as an exact fit (pure floating-point noise).
 _EXACT_FIT_RSS_FRACTION = 1e-24
+
+# Values whose largest magnitude lies outside this range are scaled by a power
+# of two before their squares are formed, which would otherwise overflow
+# (above about 1e154) or underflow (below about 1e-154).
+_UNSCALED_MIN, _UNSCALED_MAX = 2.0**-400, 2.0**400
 
 
 @dataclass(frozen=True)
@@ -82,6 +87,19 @@ class RegressionFit:
     exact_fit: bool = False
 
 
+def _scale_exponent(minimum: float, maximum: float) -> int:
+    """0 for values of ordinary size, else the k that brings them into (-1, 1) times 2^-k.
+
+    ``minimum`` and ``maximum`` bound the values. Scaling by a power of two is
+    exact, so results computed on the scaled values and scaled back by 2^k are
+    those of exact-range arithmetic: no square overflows or underflows.
+    """
+    largest = max(-minimum, maximum)
+    if _UNSCALED_MIN <= largest <= _UNSCALED_MAX:
+        return 0
+    return math.frexp(largest)[1]
+
+
 def descriptives(values: Sequence[float]) -> Descriptives:
     """Summarize a sequence: mean, sample sd (0 when n == 1), min, max."""
     n = len(values)
@@ -89,12 +107,19 @@ def descriptives(values: Sequence[float]) -> Descriptives:
         raise InsufficientDataError("descriptives need at least one value")
     minimum = min(values)
     maximum = max(values)
+    k = _scale_exponent(minimum, maximum)
+    if k:
+        d = descriptives([math.ldexp(v, -k) for v in values])
+        return replace(d, mean=math.ldexp(d.mean, k), sd=math.ldexp(d.sd, k),
+                       minimum=minimum, maximum=maximum)
     # fsum/n can land an ulp outside [min, max]; the true mean never does.
     mean = min(max(math.fsum(values) / n, minimum), maximum)
     if n == 1:
         sd = 0.0
     else:
-        sd = math.sqrt(math.fsum((v - mean) ** 2 for v in values) / (n - 1))
+        # d * d, not d ** 2: C pow need not round correctly, and the product's
+        # exact rounding keeps sd exactly proportional to power-of-two scaling.
+        sd = math.sqrt(math.fsum(d * d for d in (v - mean for v in values)) / (n - 1))
     return Descriptives(n=n, mean=mean, sd=sd, minimum=minimum, maximum=maximum)
 
 
@@ -310,6 +335,18 @@ def ols_fit(x: Series, y: Series) -> RegressionFit:
     n = len(x)
     if n < 3:
         raise InsufficientDataError(f"ols_fit needs at least 3 points, got {n}")
+    y_min, y_max = min(y.values), max(y.values)
+    k = _scale_exponent(y_min, y_max)
+    if k:
+        fit = ols_fit(x, Series(y.years, tuple(math.ldexp(v, -k) for v in y.values)))
+        return replace(
+            fit,
+            intercept=math.ldexp(fit.intercept, k),
+            slope=math.ldexp(fit.slope, k),
+            se_intercept=math.ldexp(fit.se_intercept, k),
+            se_slope=math.ldexp(fit.se_slope, k),
+            residuals=tuple(math.ldexp(r, k) for r in fit.residuals),
+        )
     x_mean = math.fsum(x.values) / n
     y_mean = math.fsum(y.values) / n
     dx = [v - x_mean for v in x.values]
@@ -320,7 +357,7 @@ def ols_fit(x: Series, y: Series) -> RegressionFit:
     syy = math.fsum(d * d for d in dy)
     df = n - 2
 
-    if min(y.values) == max(y.values):
+    if y_min == y_max:
         # Constant response: slope is zero with certainty, no signal to explain.
         residuals = tuple(dy)
         sse = math.fsum(r * r for r in residuals)

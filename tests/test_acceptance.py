@@ -152,24 +152,22 @@ def test_criterion_6_currency_invariance():
     problems = []
     itl = random_ledger(seed=1902, currency=Currency.ITL)
     eur = normalize_ledger(itl)
-    period = (1997, 2015)
 
-    for a, b in zip(metabolism_index(itl, period=period),
-                    metabolism_index(eur, period=period)):
+    for a, b in zip(metabolism_index(itl), metabolism_index(eur)):
         _check(problems,
                abs(a.share_percent - b.share_percent) <= 1e-9 * abs(b.share_percent),
                f"share differs in {a.year}")
     for item in ("total_revenue", "cost_of_personnel", "total_cost"):
-        g_itl = arithmetic_growth(extract_series(itl, item, period), 1997, 2015)
-        g_eur = arithmetic_growth(extract_series(eur, item, period), 1997, 2015)
+        g_itl = arithmetic_growth(extract_series(itl, item), 1997, 2015)
+        g_eur = arithmetic_growth(extract_series(eur, item), 1997, 2015)
         _check(problems,
                abs(g_itl.cumulative - g_eur.cumulative) <= 1e-9 * abs(g_eur.cumulative),
                f"{item}: cumulative growth differs")
         _check(problems,
                abs(g_itl.r_per_year - g_eur.r_per_year) <= 1e-9 * abs(g_eur.r_per_year),
                f"{item}: per-year growth differs")
-        t_itl = trend_fit(itl, item, period)
-        t_eur = trend_fit(eur, item, period)
+        t_itl = trend_fit(itl, item)
+        t_eur = trend_fit(eur, item)
         for field in ("standardized_slope", "r_squared", "f_statistic"):
             v_itl, v_eur = getattr(t_itl, field), getattr(t_eur, field)
             _check(problems, abs(v_itl - v_eur) <= 1e-9 * abs(v_eur),
@@ -177,8 +175,8 @@ def test_criterion_6_currency_invariance():
         expected = t_itl.slope / LIRE_PER_EURO
         _check(problems, abs(t_eur.slope - expected) <= 1e-9 * abs(expected),
                f"{item}: slope not scaled by 1/{LIRE_PER_EURO}")
-    a_itl = allometric_fit(itl, period=period)
-    a_eur = allometric_fit(eur, period=period)
+    a_itl = allometric_fit(itl)
+    a_eur = allometric_fit(eur)
     _check(problems,
            abs(a_itl.exponent - a_eur.exponent) <= 1e-9 * abs(a_eur.exponent),
            "allometric exponent differs")
@@ -191,12 +189,9 @@ def test_criterion_7_metabolism_growth_consistency(tmp_path):
     problems = []
     for seed in range(20):
         ledger = random_ledger(seed=seed)
-        period = (1997, 2015)
-        points = metabolism_index(ledger, period=period)
-        num = arithmetic_growth(
-            extract_series(ledger, "cost_of_personnel", period), 1997, 2015)
-        den = arithmetic_growth(
-            extract_series(ledger, "total_revenue", period), 1997, 2015)
+        points = metabolism_index(ledger)
+        num = arithmetic_growth(extract_series(ledger, "cost_of_personnel"), 1997, 2015)
+        den = arithmetic_growth(extract_series(ledger, "total_revenue"), 1997, 2015)
         share_ratio = points[-1].share_percent / points[0].share_percent
         predicted = (1.0 + num.cumulative) / (1.0 + den.cumulative)
         _check(problems, abs(share_ratio - predicted) <= 1e-9 * abs(predicted),
@@ -215,8 +210,7 @@ def test_criterion_7_metabolism_growth_consistency(tmp_path):
 def test_criterion_8_golden_cnr_dataset():
     problems = []
     with open(CNR_DATA, encoding="utf-8", newline="") as stream:
-        ledger = parse_ledger(stream, organization="CNR")
-    period = (1997, 2015)
+        ledger = parse_ledger(stream, organization="CNR").window((1997, 2015))
 
     expected_trend = {
         "total_revenue": (14680572.412, 2431297.386, 0.83, 0.66, 36.46),
@@ -224,7 +218,7 @@ def test_criterion_8_golden_cnr_dataset():
         "total_cost": (12621066.402, 1921361.958, 0.85, 0.70, 43.15),
     }
     for item, (slope, se, std, r2, f) in expected_trend.items():
-        fit = trend_fit(ledger, item, period)
+        fit = trend_fit(ledger, item)
         _check(problems, abs(fit.slope - slope) <= 0.5, f"{item}: slope {fit.slope}")
         _check(problems, abs(fit.se_slope - se) <= 0.5, f"{item}: se {fit.se_slope}")
         _check(problems, abs(fit.standardized_slope - std) <= 0.005,
@@ -236,15 +230,15 @@ def test_criterion_8_golden_cnr_dataset():
         "total_revenue": 118.72, "cost_of_personnel": 167.87, "total_cost": 127.44,
     }
     for item, cumulative_pct in expected_growth.items():
-        rate = arithmetic_growth(extract_series(ledger, item, period), 1997, 2015)
+        rate = arithmetic_growth(extract_series(ledger, item), 1997, 2015)
         _check(problems, abs(100.0 * rate.cumulative - cumulative_pct) <= 0.01,
                f"{item}: cumulative {100.0 * rate.cumulative}")
 
-    fit = allometric_fit(ledger, period=period)
+    fit = allometric_fit(ledger)
     _check(problems, abs(fit.exponent - 1.61) <= 0.01, f"exponent {fit.exponent}")
     _check(problems, abs(fit.r_squared - 0.86) <= 0.01, f"R2 {fit.r_squared}")
 
-    points = metabolism_index(ledger, period=period)
+    points = metabolism_index(ledger)
     _check(problems, abs(points[0].share_percent - 47.0) <= 1.0,
            f"M(1997) = {points[0].share_percent}")
     _check(problems, points[-1].share_percent > 65.0,

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import subprocess
@@ -182,7 +183,7 @@ class TestFigures:
         report = Report(
             trend_table={}, growth_table={}, allometric_table=None,
             metabolism_series=(), other_costs_share=(), crossings=(),
-            mean_costs=mean_cost_profile(ledger, (1997, 1998)),
+            mean_costs=mean_cost_profile(ledger),
             validation_findings=(), ledger=ledger, window=ledger,
             config=ReportConfig(input_path=tmp_path / "two.csv", period=(1997, 1998)),
         )
@@ -354,6 +355,16 @@ class TestCommandLine:
     def test_exit_zero_on_success(self, ledger_file):
         assert run_cli("report", "--input", str(ledger_file)).returncode == 0
 
+    @pytest.mark.parametrize("command", ["report", "figures"])
+    def test_extreme_magnitude(self, tmp_path, monkeypatch, capsys, command):
+        # The squares of 1e200 overflow unless the descriptives scale it first.
+        records = list(random_ledger(seed=21).records)
+        records[4] = dataclasses.replace(records[4], services=1e200)
+        path = write_ledger_file(tmp_path / "big.csv", ledger_of(records))
+        monkeypatch.chdir(tmp_path)
+        assert main([command, "--input", str(path)]) == 0
+        assert capsys.readouterr().err == ""
+
 
 class TestHostileInputOnTheCommandLine:
     """Each bad input ends in exit 1 and exactly one ``error:`` line."""
@@ -418,6 +429,13 @@ class TestHostileInputOnTheCommandLine:
         result = run_cli("report", "--help")
         assert result.returncode == 0
         assert "--input" in result.stdout
+
+    def test_year_beyond_9999(self, tmp_path):
+        text = lira_text(random_ledger(seed=21)).replace("\n2015,", f"\n{10**200},")
+        path = tmp_path / "far.csv"
+        path.write_text(text, encoding="utf-8")
+        self.assert_one_error_line(run_cli("report", "--input", str(path)),
+                                   "column 'year'", "outside 1-9999")
 
     def test_newline_in_a_column_name(self, tmp_path):
         path = tmp_path / "ledger.csv"

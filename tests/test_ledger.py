@@ -151,6 +151,19 @@ class TestHostileInput:
         with pytest.raises(ParseError, match=r"row 3, column 'year': malformed year"):
             parse(text)
 
+    @pytest.mark.parametrize("cell", ["0", "10000", str(10**200)],
+                             ids=["zero", "five-digit", "huge"])
+    def test_year_must_lie_in_1_to_9999(self, cell):
+        text = csv_text([full_row(1997, "EUR", 1.0, 0.5, 1.0, 0.1),
+                         full_row(cell, "EUR", 1.0, 0.5, 1.0, 0.1)])
+        with pytest.raises(ParseError, match=r"row 3, column 'year': year '\d+' outside 1-9999$"):
+            parse(text)
+
+    def test_years_1_and_9999_are_accepted(self):
+        text = csv_text([full_row(1, "EUR", 1.0, 0.5, 1.0, 0.1),
+                         full_row(9999, "EUR", 1.0, 0.5, 1.0, 0.1)])
+        assert parse(text).years == (1, 9999)
+
 
 _finite = st.floats(allow_nan=False, allow_infinity=False)
 _amount = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
@@ -307,13 +320,13 @@ class TestSeriesInvariants:
 class TestExtractSeries:
     def test_full_period_has_one_point_per_record(self):
         ledger = random_ledger(seed=5)
-        series = extract_series(ledger, "total_revenue", (1997, 2015))
+        series = extract_series(ledger, "total_revenue")
         assert len(series) == len(ledger) == 19
         assert series.years == ledger.years
 
     def test_singleton_range(self):
         ledger = random_ledger(seed=5)
-        series = extract_series(ledger, "cost_of_personnel", (2003, 2003))
+        series = extract_series(ledger.window((2003, 2003)), "cost_of_personnel")
         assert series.years == (2003,)
 
     def test_missing_item_names_years(self):
@@ -325,12 +338,14 @@ class TestExtractSeries:
             record(2001, 1.0, 0.5, 1.0, salary=0.3),
         ]
         with pytest.raises(MissingDataError, match="1999"):
-            extract_series(ledger_of(records), "salary", (1997, 2001))
+            extract_series(ledger_of(records), "salary")
 
     def test_empty_period(self):
-        ledger = random_ledger(seed=5)
+        with pytest.raises(EmptyPeriodError, match="^no records in period 1950-1960$"):
+            random_ledger(seed=5).window((1950, 1960))
+        # A ledger built by hand may hold no records at all.
         with pytest.raises(EmptyPeriodError):
-            extract_series(ledger, "total_revenue", (1950, 1960))
+            extract_series(ledger_of([]), "total_revenue")
 
     def test_unknown_item(self):
         with pytest.raises(DomainError, match="unknown item"):
@@ -338,14 +353,14 @@ class TestExtractSeries:
 
     def test_period_is_an_intersection_window(self):
         ledger = random_ledger(seed=5, n_years=10, first_year=2000)
-        series = extract_series(ledger, "total_revenue", (1997, 2015))
-        assert series.years == ledger.years
+        assert ledger.window((1997, 2015)) == ledger
 
-    def test_ledger_window_is_inclusive_and_none_keeps_the_ledger(self):
+    def test_ledger_window_is_inclusive(self):
         ledger = random_ledger(seed=5, n_years=10, first_year=2000)
-        assert ledger.window(None) is ledger
         assert ledger.window((2002, 2004)).years == (2002, 2003, 2004)
-        assert ledger.window((1990, 1999)).records == ()
+        assert ledger.window((1990, 2000)).years == (2000,)
+        with pytest.raises(TypeError):
+            ledger.window(None)
 
 
 class TestValidateLedger:

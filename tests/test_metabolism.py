@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from ecometab.errors import (
     AlignmentError,
     DomainError,
+    EmptyPeriodError,
     InsufficientDataError,
     MissingDataError,
 )
@@ -37,7 +38,7 @@ class TestTrendFit:
             record(year, revenue=1e6 * (year - 1996), personnel=1.0, total_cost=1.0)
             for year in range(1997, 2016)
         ]
-        fit = trend_fit(ledger_of(records), "total_revenue", (1997, 2015))
+        fit = trend_fit(ledger_of(records), "total_revenue")
         assert fit.slope == pytest.approx(1e6, rel=1e-12)
         assert fit.r_squared == 1.0
 
@@ -53,7 +54,7 @@ class TestTrendFit:
             for i in range(19)
         ]
         ledger = ledger_of(records)
-        fit = trend_fit(ledger, "total_revenue", (1997, 2015))
+        fit = trend_fit(ledger, "total_revenue")
         xs = [float(y) for y in ledger.years]
         ys = [r.total_revenue for r in ledger.records]
         _, oracle_slope = oracles.grid_ols(xs, ys)
@@ -291,12 +292,15 @@ class TestMeanCostProfile:
         assert "services" not in profile.by_item
 
     def test_empty_period(self):
+        with pytest.raises(EmptyPeriodError, match="^no records in period 1900-1910$"):
+            random_ledger(seed=2).window((1900, 1910))
+        # A ledger built by hand may hold no records at all.
         with pytest.raises(InsufficientDataError):
-            mean_cost_profile(random_ledger(seed=2), (1900, 1910))
+            mean_cost_profile(ledger_of([]))
 
     def test_means_match_two_pass_oracle(self):
         ledger = random_ledger(seed=31)
-        profile = mean_cost_profile(ledger, (1997, 2015))
+        profile = mean_cost_profile(ledger)
         for item, d in profile.by_item.items():
             values = [r.item(item) for r in ledger.records]
             mean, sd = oracles.two_pass_mean_sd(values)
@@ -308,23 +312,22 @@ class TestCurrencyInvariance:
     def test_analyses_are_invariant_under_normalization(self):
         itl = random_ledger(seed=77, currency=Currency.ITL)
         eur = normalize_ledger(itl)
-        period = (1997, 2015)
 
-        m_itl = metabolism_index(itl, period=period)
-        m_eur = metabolism_index(eur, period=period)
+        m_itl = metabolism_index(itl)
+        m_eur = metabolism_index(eur)
         for a, b in zip(m_itl, m_eur):
             assert a.share_percent == pytest.approx(b.share_percent, rel=1e-9)
 
         for item in ("total_revenue", "cost_of_personnel", "total_cost"):
-            s_itl = extract_series(itl, item, period)
-            s_eur = extract_series(eur, item, period)
+            s_itl = extract_series(itl, item)
+            s_eur = extract_series(eur, item)
             g_itl = arithmetic_growth(s_itl, 1997, 2015)
             g_eur = arithmetic_growth(s_eur, 1997, 2015)
             assert g_itl.r_per_year == pytest.approx(g_eur.r_per_year, rel=1e-9)
             assert g_itl.cumulative == pytest.approx(g_eur.cumulative, rel=1e-9)
 
-            t_itl = trend_fit(itl, item, period)
-            t_eur = trend_fit(eur, item, period)
+            t_itl = trend_fit(itl, item)
+            t_eur = trend_fit(eur, item)
             assert t_itl.standardized_slope == pytest.approx(
                 t_eur.standardized_slope, rel=1e-9
             )
@@ -332,8 +335,8 @@ class TestCurrencyInvariance:
             assert t_itl.f_statistic == pytest.approx(t_eur.f_statistic, rel=1e-9)
             assert t_eur.slope == pytest.approx(t_itl.slope / LIRE_PER_EURO, rel=1e-9)
 
-        a_itl = allometric_fit(itl, period=period)
-        a_eur = allometric_fit(eur, period=period)
+        a_itl = allometric_fit(itl)
+        a_eur = allometric_fit(eur)
         assert a_itl.exponent == pytest.approx(a_eur.exponent, rel=1e-9)
         assert a_itl.classification is a_eur.classification
 
@@ -342,12 +345,9 @@ class TestMetabolismGrowthConsistency:
     @pytest.mark.parametrize("seed", range(8))
     def test_share_ratio_equals_growth_ratio(self, seed):
         ledger = random_ledger(seed=seed)
-        period = (1997, 2015)
-        points = metabolism_index(ledger, period=period)
-        num = arithmetic_growth(extract_series(ledger, "cost_of_personnel", period),
-                                1997, 2015)
-        den = arithmetic_growth(extract_series(ledger, "total_revenue", period),
-                                1997, 2015)
+        points = metabolism_index(ledger)
+        num = arithmetic_growth(extract_series(ledger, "cost_of_personnel"), 1997, 2015)
+        den = arithmetic_growth(extract_series(ledger, "total_revenue"), 1997, 2015)
         share_ratio = points[-1].share_percent / points[0].share_percent
         predicted = (1.0 + num.cumulative) / (1.0 + den.cumulative)
         assert share_ratio == pytest.approx(predicted, rel=1e-9)

@@ -1,8 +1,8 @@
 """The README's "Library" example runs as written.
 
-This pins the documented public API: ``trend_fit(..., period=...)``,
-``LedgerSeries.window``, ``metabolism_index``, ``arithmetic_growth`` and
-``allometric_fit``.
+This pins the documented public API: ``LedgerSeries.window``, then
+``trend_fit``, ``metabolism_index``, ``extract_series``,
+``arithmetic_growth`` and ``allometric_fit`` on the window.
 """
 
 import re

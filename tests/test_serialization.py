@@ -27,7 +27,7 @@ from ecometab.cli import (
     report_to_json,
     run_report,
 )
-from ecometab.ledger import Series, extract_series, parse_ledger
+from ecometab.ledger import Series, extract_series, parse_ledger, validate_ledger
 from ecometab.metabolism import (
     allometric_fit,
     arithmetic_growth,
@@ -108,14 +108,16 @@ def reference_csv(report):
 
 def reference_commands(ledger, period, alpha):
     """Expected stdout of each single-analysis command, by (command, format)."""
-    fits = {item: trend_fit(ledger, item, period) for item in TREND_ITEMS}
+    window = ledger.window(period)
+    fits = {item: trend_fit(window, item) for item in TREND_ITEMS}
     growth = {}
     for item in TREND_ITEMS:
-        series = extract_series(ledger, item, period)
+        series = extract_series(window, item)
         growth[item] = arithmetic_growth(series, series.years[0], series.years[-1])
-    points = metabolism_index(ledger, "cost_of_personnel", "total_revenue", period)
-    other = metabolism_index(ledger, "other_costs", "total_revenue", period)
-    fit = allometric_fit(ledger, "cost_of_personnel", "total_revenue", period, alpha)
+    points = metabolism_index(window, "cost_of_personnel", "total_revenue")
+    other = metabolism_index(window, "other_costs", "total_revenue")
+    fit = allometric_fit(window, "cost_of_personnel", "total_revenue", alpha=alpha)
+    findings = validate_ledger(ledger)  # the whole file, as in the report
     crossings = crossover_years(
         Series(tuple(p.year for p in points), tuple(p.share_percent for p in points)),
         Series(tuple(p.year for p in other), tuple(p.share_percent for p in other)),
@@ -145,6 +147,10 @@ def reference_commands(ledger, period, alpha):
         ("crossover", "json"): dumps({"crossings": [asdict(c) for c in crossings]}),
         ("crossover", "csv"): rows_csv(["start_year", "end_year", "crossing_year"], [
             [c.start_year, c.end_year, repr(c.crossing_year)] for c in crossings
+        ]),
+        ("validate", "json"): dumps({"validation": [asdict(f) for f in findings]}),
+        ("validate", "csv"): rows_csv(["kind", "year", "message"], [
+            [f.kind, str(f.year), f.message] for f in findings
         ]),
     }
 

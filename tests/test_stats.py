@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import statistics
@@ -16,6 +17,7 @@ from ecometab.errors import (
 )
 from ecometab.ledger import Series
 from ecometab.stats import (
+    Descriptives,
     betainc,
     descriptives,
     ols_fit,
@@ -170,6 +172,41 @@ class TestDescriptives:
         assert d.mean == pytest.approx(statistics.fmean(values), rel=1e-9, abs=1e-9)
         assert d.sd == pytest.approx(statistics.stdev(values), rel=1e-6, abs=1e-6)
         assert d.minimum <= d.mean <= d.maximum
+
+
+# Nonzero values of ordinary size, so that any of them times 2^j, |j| <= 900,
+# is a normal float.
+_ordinary = st.floats(min_value=-1e6, max_value=1e6).filter(lambda v: v == 0 or abs(v) >= 1e-6)
+
+
+class TestExtremeMagnitudes:
+    """Power-of-two scaling of the data scales the levels and nothing else.
+
+    j reaches past 2^±512, where the squares of the scaled values would
+    overflow or underflow.
+    """
+
+    @given(st.lists(_ordinary, min_size=3, max_size=25), st.integers(-900, 900))
+    def test_ols_fit(self, values, j):
+        x, y = year_series(1997, values)
+        base = ols_fit(x, y)
+        fit = ols_fit(x, Series(y.years, tuple(math.ldexp(v, j) for v in y.values)))
+        assert fit == dataclasses.replace(
+            base,
+            intercept=math.ldexp(base.intercept, j),
+            slope=math.ldexp(base.slope, j),
+            se_intercept=math.ldexp(base.se_intercept, j),
+            se_slope=math.ldexp(base.se_slope, j),
+            residuals=tuple(math.ldexp(r, j) for r in base.residuals),
+        )
+
+    @given(st.lists(_ordinary, min_size=1, max_size=30), st.integers(-900, 900))
+    def test_descriptives(self, values, j):
+        base = descriptives(values)
+        d = descriptives([math.ldexp(v, j) for v in values])
+        assert d == Descriptives(
+            base.n, *(math.ldexp(v, j) for v in (base.mean, base.sd, base.minimum, base.maximum))
+        )
 
 
 class TestPValues:
