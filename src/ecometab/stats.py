@@ -46,11 +46,6 @@ _AS70_Q = (0.0993484626060, 0.588581570495, 0.531103462366, 0.103537752850, 0.38
 # treated as an exact fit (pure floating-point noise).
 _EXACT_FIT_RSS_FRACTION = 1e-24
 
-# Values whose largest magnitude lies outside this range are scaled by a power
-# of two before their squares are formed, which would otherwise overflow
-# (above about 1e154) or underflow (below about 1e-154).
-_UNSCALED_MIN, _UNSCALED_MAX = 2.0**-400, 2.0**400
-
 
 @dataclass(frozen=True)
 class Descriptives:
@@ -88,16 +83,14 @@ class RegressionFit:
 
 
 def _scale_exponent(minimum: float, maximum: float) -> int:
-    """0 for values of ordinary size, else the k that brings them into (-1, 1) times 2^-k.
+    """The k that brings values bounded by ``minimum`` and ``maximum`` into (-1, 1) times 2^-k.
 
-    ``minimum`` and ``maximum`` bound the values. Scaling by a power of two is
-    exact, so results computed on the scaled values and scaled back by 2^k are
-    those of exact-range arithmetic: no square overflows or underflows.
+    k is 0 when every value is 0. Scaling by a power of two is exact, so
+    results computed on the scaled values and scaled back by 2^k are those of
+    exact-range arithmetic, while no square of a scaled value overflows
+    (above about 1e154) or underflows (below about 1e-154).
     """
-    largest = max(-minimum, maximum)
-    if _UNSCALED_MIN <= largest <= _UNSCALED_MAX:
-        return 0
-    return math.frexp(largest)[1]
+    return math.frexp(max(-minimum, maximum))[1]
 
 
 def descriptives(values: Sequence[float]) -> Descriptives:
@@ -108,19 +101,16 @@ def descriptives(values: Sequence[float]) -> Descriptives:
     minimum = min(values)
     maximum = max(values)
     k = _scale_exponent(minimum, maximum)
-    if k:
-        d = descriptives([math.ldexp(v, -k) for v in values])
-        return replace(d, mean=math.ldexp(d.mean, k), sd=math.ldexp(d.sd, k),
-                       minimum=minimum, maximum=maximum)
+    scaled = [math.ldexp(v, -k) for v in values]
     # fsum/n can land an ulp outside [min, max]; the true mean never does.
-    mean = min(max(math.fsum(values) / n, minimum), maximum)
+    mean = min(max(math.fsum(scaled) / n, math.ldexp(minimum, -k)), math.ldexp(maximum, -k))
     if n == 1:
         sd = 0.0
     else:
         # d * d, not d ** 2: C pow need not round correctly, and the product's
         # exact rounding keeps sd exactly proportional to power-of-two scaling.
-        sd = math.sqrt(math.fsum(d * d for d in (v - mean for v in values)) / (n - 1))
-    return Descriptives(n=n, mean=mean, sd=sd, minimum=minimum, maximum=maximum)
+        sd = math.sqrt(math.fsum(d * d for d in (v - mean for v in scaled)) / (n - 1))
+    return Descriptives(n=n, mean=math.ldexp(mean, k), sd=math.ldexp(sd, k), minimum=minimum, maximum=maximum)
 
 
 def _beta_cf(a: float, b: float, x: float) -> float:
@@ -335,29 +325,33 @@ def ols_fit(x: Series, y: Series) -> RegressionFit:
     n = len(x)
     if n < 3:
         raise InsufficientDataError(f"ols_fit needs at least 3 points, got {n}")
-    y_min, y_max = min(y.values), max(y.values)
-    k = _scale_exponent(y_min, y_max)
-    if k:
-        fit = ols_fit(x, Series(y.years, tuple(math.ldexp(v, -k) for v in y.values)))
-        return replace(
-            fit,
-            intercept=math.ldexp(fit.intercept, k),
-            slope=math.ldexp(fit.slope, k),
-            se_intercept=math.ldexp(fit.se_intercept, k),
-            se_slope=math.ldexp(fit.se_slope, k),
-            residuals=tuple(math.ldexp(r, k) for r in fit.residuals),
-        )
+    # Fit y times 2^-k, whose values lie in (-1, 1), and scale the levels back.
+    k = _scale_exponent(min(y.values), max(y.values))
+    fit = _ols_unit(x, [math.ldexp(v, -k) for v in y.values])
+    return replace(
+        fit,
+        intercept=math.ldexp(fit.intercept, k),
+        slope=math.ldexp(fit.slope, k),
+        se_intercept=math.ldexp(fit.se_intercept, k),
+        se_slope=math.ldexp(fit.se_slope, k),
+        residuals=tuple(math.ldexp(r, k) for r in fit.residuals),
+    )
+
+
+def _ols_unit(x: Series, ys: list[float]) -> RegressionFit:
+    """``ols_fit`` of ``ys`` on ``x`` once both are checked and ``ys`` is scaled."""
+    n = len(ys)
     x_mean = math.fsum(x.values) / n
-    y_mean = math.fsum(y.values) / n
+    y_mean = math.fsum(ys) / n
     dx = [v - x_mean for v in x.values]
-    dy = [v - y_mean for v in y.values]
+    dy = [v - y_mean for v in ys]
     sxx = math.fsum(d * d for d in dx)
     if sxx == 0.0:
         raise DegenerateRegressorError("explanatory variable is constant")
     syy = math.fsum(d * d for d in dy)
     df = n - 2
 
-    if y_min == y_max:
+    if min(ys) == max(ys):
         # Constant response: slope is zero with certainty, no signal to explain.
         residuals = tuple(dy)
         sse = math.fsum(r * r for r in residuals)
