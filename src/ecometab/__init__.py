@@ -6,6 +6,8 @@ arithmetic growth rates, and log-log allometric fits with a growth
 classification, and emits publication-style tables and figure data.
 """
 
+from __future__ import annotations
+
 from .errors import (
     AlignmentError,
     ConvergenceError,

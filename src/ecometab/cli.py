@@ -10,17 +10,17 @@ results. Figure files are all-or-nothing: each is written to a temp file,
 and only when every one is written are they renamed into place.
 """
 
+from __future__ import annotations
+
 import argparse
 import csv
 import functools
 import io
-import json
 import math
 import os
 import sys
+from collections.abc import Mapping
 from itertools import chain
-from pathlib import Path
-from typing import Mapping
 
 from .errors import DomainError, EcometabError
 from .ledger import (
@@ -90,7 +90,10 @@ def _encode_at(depth: int):
 
     Given no ``indent``, json encodes in C; the item separator then writes the
     newline and indentation that ``indent=2`` puts between items at ``depth``.
+    json is imported here, once per process, so a text or CSV run skips it.
     """
+    import json
+
     separators = (",\n" + "  " * (depth + 1), ": ")
     return json.JSONEncoder(sort_keys=True, separators=separators).encode
 
@@ -436,7 +439,7 @@ def _figure_rows(report: Report, figure_id: str) -> tuple[list[str], list[list[s
     return ["year", *names], rows
 
 
-def _write_figures(report: Report, figure_ids, output_dir: Path) -> list[Path]:
+def _write_figures(report: Report, figure_ids, output_dir: str | os.PathLike[str]) -> list:
     """Write each figure's data as ``<figure_id>.csv``, all or nothing.
 
     Every figure is rendered before a file is opened, and every one is
@@ -447,9 +450,12 @@ def _write_figures(report: Report, figure_ids, output_dir: Path) -> list[Path]:
     ``OSError`` the figure files this call put in place are removed and the
     old files renamed back, so the directory is as it was; on success the old
     files are removed. Either way the staging directory then goes, and no
-    file this call did not create is touched, whatever its name.
+    file this call did not create is touched, whatever its name. Returns each
+    figure's ``pathlib.Path``.
     """
-    import tempfile  # here, so that a cold ``report`` does not import it
+    # Here, so that a cold ``report`` imports neither.
+    import tempfile
+    from pathlib import Path
 
     output_dir = Path(output_dir)
     staged = [
@@ -485,8 +491,8 @@ def _write_figures(report: Report, figure_ids, output_dir: Path) -> list[Path]:
     return [output_dir / f"{figure_id}.csv" for figure_id in figure_ids]
 
 
-def emit_figure_data(report: Report, figure_id: str, output_dir: Path) -> Path:
-    """Write one figure's data as ``<figure_id>.csv``, all or nothing; returns the path."""
+def emit_figure_data(report: Report, figure_id: str, output_dir: str | os.PathLike[str]):
+    """Write one figure's data as ``<figure_id>.csv``, all or nothing; returns its ``Path``."""
     return _write_figures(report, (figure_id,), output_dir)[0]
 
 
@@ -502,14 +508,16 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise EcometabError("".join(c if c.isprintable() else ascii(c)[1:-1] for c in message))
 
 
-def _path(text: str) -> Path:
+def _path(text: str) -> str:
     # open() raises ValueError, not OSError, on a name with a NUL byte.
     if "\0" in text:
         raise argparse.ArgumentTypeError("path contains a NUL byte")
-    return Path(text)
+    return text
 
 
-def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
+def _common_parser() -> argparse.ArgumentParser:
+    """The options every subcommand takes, for its ``parents``."""
+    parser = argparse.ArgumentParser(add_help=False)
     parser.add_argument("--input", required=True, type=_path, help="ledger file to analyze")
     parser.add_argument("--from", dest="year_from", type=int, default=1997,
                         help="first year of the analysis window (default 1997)")
@@ -524,6 +532,7 @@ def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--denominator", default="total_revenue",
                         help="share denominator / allometric explanatory item")
     parser.add_argument("--delimiter", default=",", help="input field delimiter")
+    return parser
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -542,9 +551,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "figures": "write figure-data CSV files",
         "validate": "report soft data issues in the ledger",
     }
+    common = _common_parser()
     for name, help_text in descriptions.items():
-        command = sub.add_parser(name, help=help_text)
-        _add_common_arguments(command)
+        command = sub.add_parser(name, help=help_text, parents=[common])
         if name in ("trend", "growth"):
             command.add_argument("--item", dest="items", action="append",
                                  choices=MONEY_ITEMS,
@@ -555,7 +564,7 @@ def _build_parser() -> argparse.ArgumentParser:
                                  choices=FIGURE_IDS,
                                  help="figure id to emit (repeatable; default: all)")
             command.add_argument("--out-dir", dest="output_dir", type=_path,
-                                 default=Path("."),
+                                 default=".",
                                  help="directory for figure-data files (default: .)")
     return parser
 

@@ -5,6 +5,8 @@ so callers (the CLI in particular) can turn any analysis failure into a
 single diagnostic line without catching bare ``Exception``.
 """
 
+from __future__ import annotations
+
 
 class EcometabError(Exception):
     """Base class for all errors raised by this package."""

@@ -19,11 +19,14 @@ All types here are immutable after construction and safe to share across
 threads; parsing is single-threaded per stream.
 """
 
+from __future__ import annotations
+
 import csv
+import io
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Iterator, TextIO
 
 from .errors import DomainError, EmptyPeriodError, MissingDataError, ParseError
 
@@ -268,7 +271,9 @@ def _read_rows(reader) -> Iterator[list[str]]:
         yield cells
 
 
-def parse_ledger(stream: TextIO, organization: str = "", delimiter: str = ",") -> LedgerSeries:
+def parse_ledger(
+    stream: io.TextIOBase, organization: str = "", delimiter: str = ","
+) -> LedgerSeries:
     """Parse a delimited income-statement file into a euro-normalized ledger.
 
     Args:
@@ -361,7 +366,7 @@ def parse_ledger(stream: TextIO, organization: str = "", delimiter: str = ",") -
     return LedgerSeries(organization, tuple(records))
 
 
-def write_ledger(ledger: LedgerSeries, stream: TextIO, delimiter: str = ",") -> None:
+def write_ledger(ledger: LedgerSeries, stream: io.TextIOBase, delimiter: str = ",") -> None:
     """Write a ledger in the canonical input format (round-trips exactly)."""
     writer = csv.writer(stream, delimiter=delimiter, lineterminator="\n")
     writer.writerow(COLUMNS)

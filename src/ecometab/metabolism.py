@@ -15,10 +15,12 @@ Plus ``crossover_years`` (where two series trade places) and
 All functions are pure and safe to call concurrently.
 """
 
+from __future__ import annotations
+
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping
 
 from .errors import AlignmentError, DomainError, InsufficientDataError
 from .ledger import COST_ITEMS, LedgerSeries, Series, extract_series
@@ -104,14 +106,22 @@ def metabolism_index(
     numerator: str = "cost_of_personnel",
     denominator: str = "total_revenue",
 ) -> tuple[MetabolismPoint, ...]:
-    """Yearly share of ``numerator`` over ``denominator``, in percent."""
+    """Yearly share of ``numerator`` over ``denominator``, in percent.
+
+    Raises:
+        DomainError: in some year the denominator is not positive, or the
+            share overflows a float.
+    """
     num = extract_series(ledger, numerator)
     den = extract_series(ledger, denominator)
     points = []
     for year, n_value, d_value in zip(num.years, num.values, den.values):
         if d_value <= 0:
             raise DomainError(f"{denominator} is not positive in {year}")
-        points.append(MetabolismPoint(year, 100.0 * n_value / d_value))
+        share = 100.0 * n_value / d_value
+        if not math.isfinite(share):
+            raise DomainError(f"share of {numerator} in {denominator} is not finite in {year}")
+        points.append(MetabolismPoint(year, share))
     return tuple(points)
 
 

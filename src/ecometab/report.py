@@ -4,9 +4,11 @@
 once, and runs each analysis on that window. Rendering lives in ``cli.py``.
 """
 
+from __future__ import annotations
+
+import os
+from collections.abc import Mapping
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Mapping
 
 from .errors import DomainError, EcometabError
 from .ledger import (
@@ -39,7 +41,7 @@ TREND_ITEMS = ("total_revenue", "cost_of_personnel", "total_cost")
 class ReportConfig:
     """Everything a report run needs besides the data itself."""
 
-    input_path: Path
+    input_path: str | os.PathLike[str]
     period: tuple[int, int] = (1997, 2015)
     numerator_item: str = "cost_of_personnel"
     denominator_item: str = "total_revenue"
@@ -78,10 +80,22 @@ class Report:
     config: ReportConfig
 
 
+def _stem(path: str | os.PathLike[str]) -> str:
+    """``pathlib.PurePath(path).stem`` of a path that names a file, without pathlib.
+
+    The final component loses its last suffix: ``a.b.csv`` becomes ``a.b``,
+    while ``ledger.`` and ``.hidden`` have none to lose.
+    """
+    name = os.path.basename(os.fspath(path))
+    i = name.rfind(".")
+    return name[:i] if 0 < i < len(name) - 1 else name
+
+
 def load_ledger(config: ReportConfig) -> LedgerSeries:
+    """Parse the configured file; the organization is named after the file's stem."""
     with open(config.input_path, encoding="utf-8", newline="") as stream:
         return parse_ledger(
-            stream, organization=Path(config.input_path).stem, delimiter=config.delimiter
+            stream, organization=_stem(config.input_path), delimiter=config.delimiter
         )
 
 

@@ -9,9 +9,11 @@ duality holds to the last bit. Both tails hand it x and 1 - x computed
 separately, so a probability close to 1 keeps its complement's precision.
 """
 
+from __future__ import annotations
+
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
-from typing import Sequence
 
 from .errors import (
     AlignmentError,
@@ -325,25 +327,27 @@ def ols_fit(x: Series, y: Series) -> RegressionFit:
     n = len(x)
     if n < 3:
         raise InsufficientDataError(f"ols_fit needs at least 3 points, got {n}")
-    # Fit y times 2^-k, whose values lie in (-1, 1), and scale the levels back.
+    # Fit y times 2^-k on x times 2^-h, whose values all lie in (-1, 1), and
+    # scale back: the levels by 2^k, the slope and its se by 2^(k-h).
     k = _scale_exponent(min(y.values), max(y.values))
-    fit = _ols_unit(x, [math.ldexp(v, -k) for v in y.values])
+    h = _scale_exponent(min(x.values), max(x.values))
+    fit = _ols_unit([math.ldexp(v, -h) for v in x.values], [math.ldexp(v, -k) for v in y.values])
     return replace(
         fit,
         intercept=math.ldexp(fit.intercept, k),
-        slope=math.ldexp(fit.slope, k),
+        slope=math.ldexp(fit.slope, k - h),
         se_intercept=math.ldexp(fit.se_intercept, k),
-        se_slope=math.ldexp(fit.se_slope, k),
+        se_slope=math.ldexp(fit.se_slope, k - h),
         residuals=tuple(math.ldexp(r, k) for r in fit.residuals),
     )
 
 
-def _ols_unit(x: Series, ys: list[float]) -> RegressionFit:
-    """``ols_fit`` of ``ys`` on ``x`` once both are checked and ``ys`` is scaled."""
+def _ols_unit(xs: list[float], ys: list[float]) -> RegressionFit:
+    """``ols_fit`` of ``ys`` on ``xs`` once both are checked and scaled."""
     n = len(ys)
-    x_mean = math.fsum(x.values) / n
+    x_mean = math.fsum(xs) / n
     y_mean = math.fsum(ys) / n
-    dx = [v - x_mean for v in x.values]
+    dx = [v - x_mean for v in xs]
     dy = [v - y_mean for v in ys]
     sxx = math.fsum(d * d for d in dx)
     if sxx == 0.0:

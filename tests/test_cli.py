@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import pathlib
 import subprocess
 import sys
 
@@ -20,6 +21,7 @@ from ecometab.cli import (
 )
 from ecometab.errors import DomainError, EcometabError
 from ecometab.ledger import Series
+from ecometab.report import load_ledger
 from ecometab.stats import RegressionFit, ols_fit
 from helpers import (
     ledger_of,
@@ -94,6 +96,27 @@ class TestRunReport:
     def test_delimiter_must_be_one_character(self, tmp_path, delimiter):
         with pytest.raises(DomainError, match="delimiter must be one character"):
             ReportConfig(input_path=tmp_path / "x.csv", delimiter=delimiter)
+
+    class _PathLike:
+        def __init__(self, path):
+            self.path = path
+
+        def __fspath__(self):
+            return self.path
+
+    @pytest.mark.parametrize("kind", [str, pathlib.Path, _PathLike])
+    @pytest.mark.parametrize("path, organization", [
+        ("ledger.csv", "ledger"),
+        ("ledger.", "ledger."),
+        (".hidden", ".hidden"),
+        ("a.b.csv", "a.b"),
+        ("sub/x.csv", "x"),
+    ])
+    def test_organization_is_the_file_stem(self, tmp_path, monkeypatch, kind, path, organization):
+        (tmp_path / "sub").mkdir()
+        write_ledger_file(tmp_path / path, random_ledger(seed=21))
+        monkeypatch.chdir(tmp_path)
+        assert load_ledger(ReportConfig(input_path=kind(path))).organization == organization
 
 
 class TestRenderTable:
@@ -345,6 +368,18 @@ class TestCommandLine:
                    for name, text in self.USER_DOTFILES.items())
         assert list((out_dir / "fig3.csv").iterdir()) == []
 
+    @pytest.mark.parametrize("out_dir, prefix", [
+        (None, ""), ("figs", "figs/"), ("figs//", "figs/"), ("./figs", "figs/"),
+        ("./figs/./", "figs/"),
+    ])
+    def test_figures_print_each_path_normalized(self, ledger_file, tmp_path, monkeypatch, capsys,
+                                                 out_dir, prefix):
+        (tmp_path / "figs").mkdir()
+        monkeypatch.chdir(tmp_path)
+        argv = ["figures", "--input", str(ledger_file), "--figure", "fig2", "--figure", "fig1"]
+        assert main(argv + (["--out-dir", out_dir] if out_dir else [])) == 0
+        assert capsys.readouterr().out == f"{prefix}fig2.csv\n{prefix}fig1.csv\n"
+
     def test_period_flags(self, ledger_file):
         result = run_cli("metabolism", "--input", str(ledger_file),
                          "--from", "2000", "--to", "2005", "--format", "csv")
@@ -424,6 +459,14 @@ class TestHostileInputOnTheCommandLine:
         out, err = capsys.readouterr()
         assert out == "" and err.count("\n") == 1
         assert err.startswith("error: argument") and "NUL byte" in err
+
+    @pytest.mark.parametrize("command", ["metabolism", "report"])
+    def test_share_that_overflows(self, tmp_path, command):
+        records = list(random_ledger(seed=21).records)
+        records[0] = dataclasses.replace(records[0], total_revenue=1e-300, cost_of_personnel=5e10)
+        path = write_ledger_file(tmp_path / "tiny.csv", ledger_of(records))
+        result = run_cli(command, "--input", str(path), "--format", "json")
+        self.assert_one_error_line(result, "not finite in 1997")
 
     def test_help_still_exits_zero(self):
         result = run_cli("report", "--help")

@@ -78,6 +78,11 @@ class TestMetabolismIndex:
         with pytest.raises(DomainError, match="2001"):
             metabolism_index(ledger_of(records))
 
+    def test_overflowing_share_names_year(self):
+        records = [record(1997, 1e-300, 5e10, 5e10), record(1998, 1.0, 0.5, 1.0)]
+        with pytest.raises(DomainError, match="not finite in 1997"):
+            metabolism_index(ledger_of(records))
+
     def test_configurable_items(self):
         records = [record(2000, 10.0, 5.0, 8.0, other_costs=2.0)]
         points = metabolism_index(ledger_of(records), "other_costs", "total_cost")

@@ -2,7 +2,8 @@
 
 This pins the documented public API: ``LedgerSeries.window``, then
 ``trend_fit``, ``metabolism_index``, ``extract_series``,
-``arithmetic_growth`` and ``allometric_fit`` on the window.
+``arithmetic_growth`` and ``allometric_fit`` on the window, and
+``run_report`` on a ``ReportConfig`` given the file name as a ``str``.
 """
 
 import re
@@ -26,3 +27,5 @@ def test_library_example_runs_as_written(tmp_path, monkeypatch, capsys):
     exponent, classification = capsys.readouterr().out.split()
     assert float(exponent) == namespace["power"].exponent
     assert classification == namespace["power"].classification.value
+    assert namespace["report"].ledger.organization == "ledger"
+    assert namespace["report"].trend_table["total_revenue"] == namespace["fit"]

@@ -4,7 +4,7 @@ import random
 import statistics
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from ecometab import stats
@@ -182,8 +182,9 @@ _ordinary = st.floats(min_value=-1e6, max_value=1e6).filter(lambda v: v == 0 or 
 class TestExtremeMagnitudes:
     """Power-of-two scaling of the data scales the levels and nothing else.
 
-    j reaches past 2^±512, where the squares of the scaled values would
-    overflow or underflow.
+    Scaling y scales every level; scaling x by 2^j scales only the slope and
+    its standard error, by 2^-j. j reaches past 2^±512, where the squares of
+    the scaled values would overflow or underflow.
     """
 
     @given(st.lists(_ordinary, min_size=3, max_size=25), st.integers(-900, 900))
@@ -198,6 +199,18 @@ class TestExtremeMagnitudes:
             se_intercept=math.ldexp(base.se_intercept, j),
             se_slope=math.ldexp(base.se_slope, j),
             residuals=tuple(math.ldexp(r, j) for r in base.residuals),
+        )
+
+    @given(st.lists(_ordinary, min_size=3, max_size=25), st.integers(-900, 900))
+    @example(values=[1.0, 2.0, 3.0, 5.0, 4.0], j=664)  # x about 2e203
+    def test_ols_fit_on_scaled_x(self, values, j):
+        x, y = year_series(1997, values)
+        base = ols_fit(x, y)
+        fit = ols_fit(Series(x.years, tuple(math.ldexp(v, j) for v in x.values)), y)
+        assert fit == dataclasses.replace(
+            base,
+            slope=math.ldexp(base.slope, -j),
+            se_slope=math.ldexp(base.se_slope, -j),
         )
 
     @given(st.lists(_ordinary, min_size=1, max_size=30), st.integers(-900, 900))
