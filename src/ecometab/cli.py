@@ -312,23 +312,34 @@ def _render_mean_costs_text(profile: CostProfile) -> str:
     return text
 
 
+def _ratio_text(numerator: float, denominator: float) -> str:
+    """``numerator / denominator`` to 4 decimals, or ``n/a`` where it has no finite value."""
+    ratio = numerator / denominator if denominator else math.nan
+    return f"{ratio:.4f}" if math.isfinite(ratio) else "n/a"
+
+
+def _growth_factor(report: Report, item: str) -> float:
+    """1 + the item's cumulative growth over the window; NaN where it has none."""
+    # The report already holds the growth of every trend item over the window.
+    try:
+        growth = report.growth_table.get(item) or growth_over(report.window, item)
+    except DomainError:  # a start value that is not positive, or an overflow
+        return math.nan
+    return 1.0 + growth.cumulative
+
+
 def _render_cross_checks(report: Report) -> str:
     points = report.metabolism_series
     first, last = points[0], points[-1]
     config = report.config
-    # The report already holds the growth of every trend item over the window.
-    growth_num, growth_den = (
-        report.growth_table[item] if item in report.growth_table
-        else growth_over(report.window, item)
-        for item in (config.numerator_item, config.denominator_item)
-    )
-    share_ratio = last.share_percent / first.share_percent
-    predicted = (1.0 + growth_num.cumulative) / (1.0 + growth_den.cumulative)
+    predicted = _ratio_text(*(_growth_factor(report, item)
+                              for item in (config.numerator_item, config.denominator_item)))
     reference = (1.0 + _REFERENCE_CUM_PERSONNEL) / (1.0 + _REFERENCE_CUM_REVENUE)
     lines = [
-        f"  M({last.year})/M({first.year}) = {share_ratio:.4f}",
+        f"  M({last.year})/M({first.year}) = "
+        f"{_ratio_text(last.share_percent, first.share_percent)}",
         f"  (1 + growth of {config.numerator_item})/(1 + growth of {config.denominator_item})"
-        f" = {predicted:.4f}",
+        f" = {predicted}",
         f"  reference, published CNR cumulative rates 1997-2015:"
         f" (1 + {_REFERENCE_CUM_PERSONNEL})/(1 + {_REFERENCE_CUM_REVENUE}) = {reference:.4f}",
     ]

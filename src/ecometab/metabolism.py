@@ -95,10 +95,18 @@ class CostProfile:
 
 
 def trend_fit(ledger: LedgerSeries, item: str) -> RegressionFit:
-    """OLS trend of one item against calendar year."""
+    """OLS trend of one item against calendar year.
+
+    Raises:
+        DomainError: the fitted line leaves the float range, as a steep trend
+            of values near 1e306 does once its intercept is taken at year 0.
+    """
     values = extract_series(ledger, item)
     years = Series(values.years, tuple(float(y) for y in values.years))
-    return ols_fit(years, values)
+    try:
+        return ols_fit(years, values)
+    except OverflowError:
+        raise DomainError(f"trend of {item} overflows a float") from None
 
 
 def metabolism_index(
@@ -126,7 +134,12 @@ def metabolism_index(
 
 
 def arithmetic_growth(series: Series, start: int, end: int) -> GrowthRate:
-    """Arithmetic growth of a series between two observed years."""
+    """Arithmetic growth of a series between two observed years.
+
+    Raises:
+        DomainError: the years are not in order, the start value is not
+            positive, or the relative change overflows a float.
+    """
     if start >= end:
         raise DomainError(f"start year {start} must be before end year {end}")
     start_value = series.value_at(start)
@@ -135,6 +148,8 @@ def arithmetic_growth(series: Series, start: int, end: int) -> GrowthRate:
         raise DomainError(f"value at start year {start} must be positive")
     t_years = end - start
     change = (end_value - start_value) / start_value
+    if not math.isfinite(change):
+        raise DomainError(f"growth is not finite in {start}-{end}")
     return GrowthRate(
         start_value=start_value,
         end_value=end_value,
@@ -236,7 +251,11 @@ def crossover_years(a: Series, b: Series) -> tuple[Crossing, ...]:
         if s0 == s1:
             continue
         y0, y1 = a.years[i], a.years[i + 1]
-        at = y0 + diffs[i] / (diffs[i] - diffs[i + 1]) * (y1 - y0)
+        # Where a difference overflows, a quarter of each value keeps it
+        # finite; a power of two scales the interpolation's ratio exactly.
+        f = 0.25 if math.isinf(diffs[i]) or math.isinf(diffs[i + 1]) else 1.0
+        d0, d1 = (f * a.values[j] - f * b.values[j] for j in (i, i + 1))
+        at = y0 + d0 / (d0 - d1) * (y1 - y0)
         previous = crossings[-1] if crossings else None
         if previous is not None and previous.end_year == y0 and previous.crossing_year == at:
             continue  # same touch point seen from the adjacent pair

@@ -3,6 +3,8 @@
 The engine is closed-form OLS computed on a mean-centered regressor for
 numerical stability (calendar years against statement-scale values produce
 ~1e10 intercepts); results are reported in the uncentered parameterization.
+``ols_fit`` is one flow: scale, centre, fit, one residual and SSE site,
+inference by case, and one ``RegressionFit`` scaled back as it is built.
 Two-sided t and upper-tail F probabilities share one regularized incomplete
 beta function evaluated by continued fraction, so the F(1, d) = t(d)^2
 duality holds to the last bit. Both tails hand it x and 1 - x computed
@@ -13,7 +15,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import (
     AlignmentError,
@@ -331,20 +333,8 @@ def ols_fit(x: Series, y: Series) -> RegressionFit:
     # scale back: the levels by 2^k, the slope and its se by 2^(k-h).
     k = _scale_exponent(min(y.values), max(y.values))
     h = _scale_exponent(min(x.values), max(x.values))
-    fit = _ols_unit([math.ldexp(v, -h) for v in x.values], [math.ldexp(v, -k) for v in y.values])
-    return replace(
-        fit,
-        intercept=math.ldexp(fit.intercept, k),
-        slope=math.ldexp(fit.slope, k - h),
-        se_intercept=math.ldexp(fit.se_intercept, k),
-        se_slope=math.ldexp(fit.se_slope, k - h),
-        residuals=tuple(math.ldexp(r, k) for r in fit.residuals),
-    )
-
-
-def _ols_unit(xs: list[float], ys: list[float]) -> RegressionFit:
-    """``ols_fit`` of ``ys`` on ``xs`` once both are checked and scaled."""
-    n = len(ys)
+    xs = [math.ldexp(v, -h) for v in x.values]
+    ys = [math.ldexp(v, -k) for v in y.values]
     x_mean = math.fsum(xs) / n
     y_mean = math.fsum(ys) / n
     dx = [v - x_mean for v in xs]
@@ -355,68 +345,46 @@ def _ols_unit(xs: list[float], ys: list[float]) -> RegressionFit:
     syy = math.fsum(d * d for d in dy)
     df = n - 2
 
-    if min(ys) == max(ys):
-        # Constant response: slope is zero with certainty, no signal to explain.
-        residuals = tuple(dy)
-        sse = math.fsum(r * r for r in residuals)
-        sigma2 = sse / df
-        return RegressionFit(
-            n=n,
-            intercept=y_mean,
-            slope=0.0,
-            se_intercept=math.sqrt(sigma2 * (1.0 / n + x_mean * x_mean / sxx)),
-            se_slope=math.sqrt(sigma2 / sxx),
-            standardized_slope=0.0,
-            r_squared=0.0,
-            f_statistic=0.0,
-            p_slope=1.0,
-            p_f=1.0,
-            residuals=residuals,
-            degenerate=True,
-        )
-
-    sxy = math.fsum(a * b for a, b in zip(dx, dy))
-    slope = sxy / sxx
-    intercept = y_mean - slope * x_mean
-    residuals = tuple(b - slope * a for a, b in zip(dx, dy))
+    # A constant response has slope zero with certainty: no signal to explain.
+    degenerate = min(ys) == max(ys)
+    if degenerate:
+        slope, intercept, residuals = 0.0, y_mean, tuple(dy)
+    else:
+        sxy = math.fsum(a * b for a, b in zip(dx, dy))
+        slope = sxy / sxx
+        intercept = y_mean - slope * x_mean
+        residuals = tuple(b - slope * a for a, b in zip(dx, dy))
     sse = math.fsum(r * r for r in residuals)
+    exact_fit = not degenerate and sse <= _EXACT_FIT_RSS_FRACTION * syy
 
-    if sse <= _EXACT_FIT_RSS_FRACTION * syy:
-        return RegressionFit(
-            n=n,
-            intercept=intercept,
-            slope=slope,
-            se_intercept=0.0,
-            se_slope=0.0,
-            standardized_slope=math.copysign(1.0, slope),
-            r_squared=1.0,
-            f_statistic=math.inf,
-            p_slope=0.0,
-            p_f=0.0,
-            residuals=residuals,
-            exact_fit=True,
-        )
-
-    sigma2 = sse / df
-    se_slope = math.sqrt(sigma2 / sxx)
-    se_intercept = math.sqrt(sigma2 * (1.0 / n + x_mean * x_mean / sxx))
-    r = sxy / math.sqrt(sxx * syy)
-    r = max(-1.0, min(1.0, r))
-    t_stat = slope / se_slope
-    f_stat = t_stat * t_stat
-    # p_value_f(f_stat, 1, df) would call betainc with the very arguments
-    # p_value_t passes, so the F tail is the t tail to the bit.
-    p_slope = p_value_t(t_stat, df)
+    if exact_fit:
+        se_slope = se_intercept = 0.0
+        r, f_stat, p_slope = math.copysign(1.0, slope), math.inf, 0.0
+    else:
+        sigma2 = sse / df
+        se_slope = math.sqrt(sigma2 / sxx)
+        se_intercept = math.sqrt(sigma2 * (1.0 / n + x_mean * x_mean / sxx))
+        if degenerate:
+            r, f_stat, p_slope = 0.0, 0.0, 1.0
+        else:
+            r = max(-1.0, min(1.0, sxy / math.sqrt(sxx * syy)))
+            t_stat = slope / se_slope
+            f_stat = t_stat * t_stat
+            # p_value_f(f_stat, 1, df) would call betainc with the very arguments
+            # p_value_t passes, so the F tail is the t tail to the bit.
+            p_slope = p_value_t(t_stat, df)
     return RegressionFit(
         n=n,
-        intercept=intercept,
-        slope=slope,
-        se_intercept=se_intercept,
-        se_slope=se_slope,
+        intercept=math.ldexp(intercept, k),
+        slope=math.ldexp(slope, k - h),
+        se_intercept=math.ldexp(se_intercept, k),
+        se_slope=math.ldexp(se_slope, k - h),
         standardized_slope=r,
         r_squared=r * r,
         f_statistic=f_stat,
         p_slope=p_slope,
         p_f=p_slope,
-        residuals=residuals,
+        residuals=tuple(math.ldexp(e, k) for e in residuals),
+        degenerate=degenerate,
+        exact_fit=exact_fit,
     )

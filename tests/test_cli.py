@@ -179,6 +179,38 @@ class TestReportText:
     def test_cross_check_prints_reference_ratio(self, report):
         assert "1.2247" in render_report_text(report)
 
+    @pytest.mark.parametrize("case", ["revenue_collapses", "first_share_underflows",
+                                      "growth_overflows"])
+    def test_cross_checks_without_a_finite_ratio(self, tmp_path, capsys, case):
+        records = list(random_ledger(seed=21).records)
+        if case == "revenue_collapses":
+            # 1 + growth of total_revenue rounds to 0.
+            records[0] = dataclasses.replace(
+                records[0], total_revenue=1e300, cost_of_personnel=5e299, other_costs=2e299)
+            records[-1] = dataclasses.replace(
+                records[-1], total_revenue=1e-300, cost_of_personnel=5e-301, other_costs=2e-301)
+            argv = []
+            expected = "  (1 + growth of cost_of_personnel)/(1 + growth of total_revenue) = n/a"
+        elif case == "first_share_underflows":
+            # The 1997 share of services, 1e-290 in about 1e299, underflows to 0.
+            records = [dataclasses.replace(r, **{item: getattr(r, item) * 1e290 for item in (
+                "total_revenue", "cost_of_personnel", "total_cost", "other_costs")})
+                for r in records]
+            records[0] = dataclasses.replace(records[0], services=1e-290)
+            argv = ["--numerator", "services"]
+            expected = "  M(2015)/M(1997) = n/a"
+        else:
+            # Growth of services from 1e-300 overflows, so it is not in the report.
+            records[0] = dataclasses.replace(records[0], services=1e-300)
+            argv = ["--numerator", "services"]
+            expected = "  (1 + growth of services)/(1 + growth of total_revenue) = n/a"
+        path = write_ledger_file(tmp_path / "ledger.csv", ledger_of(records))
+        assert main(["report", "--input", str(path), *argv]) == 0
+        out, err = capsys.readouterr()
+        assert expected in out.splitlines()
+        assert err == ""
+        assert main(["report", "--input", str(path), "--format", "json", *argv]) == 0
+
 
 class TestFigures:
     def test_fig4_identity_ledger_is_all_100(self, tmp_path):
@@ -467,6 +499,22 @@ class TestHostileInputOnTheCommandLine:
         path = write_ledger_file(tmp_path / "tiny.csv", ledger_of(records))
         result = run_cli(command, "--input", str(path), "--format", "json")
         self.assert_one_error_line(result, "not finite in 1997")
+
+    @pytest.mark.parametrize("command, prefix", [("report", "growth[total_cost]: "),
+                                                 ("growth", "")])
+    def test_growth_that_overflows(self, tmp_path, command, prefix):
+        records = list(random_ledger(seed=21).records)
+        records[0] = dataclasses.replace(records[0], total_cost=1e-300)
+        path = write_ledger_file(tmp_path / "tiny.csv", ledger_of(records))
+        result = run_cli(command, "--input", str(path), "--format", "csv")
+        self.assert_one_error_line(result, f"error: {prefix}growth is not finite in 1997-2015")
+
+    def test_trend_that_overflows(self, tmp_path):
+        records = list(random_ledger(seed=21).records)
+        records[-1] = dataclasses.replace(records[-1], total_revenue=1.7e308)
+        path = write_ledger_file(tmp_path / "huge.csv", ledger_of(records))
+        self.assert_one_error_line(run_cli("report", "--input", str(path)),
+                                   "error: trend[total_revenue]: trend of total_revenue overflows")
 
     def test_help_still_exits_zero(self):
         result = run_cli("report", "--help")

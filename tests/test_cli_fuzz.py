@@ -4,13 +4,16 @@ Every run must return 0, or return 1 with exactly one stderr line starting
 ``error: ``. Only ``-h``/``--help`` (also as ``-hh`` or an abbreviation such
 as ``--he``) may end in ``SystemExit(0)``. Arguments mix the real commands
 and flags with garbage values (newlines and empty strings included), and
-``--input`` names a seeded ledger, a generated garbage file, a directory or
-a missing path.
+``--input`` names a seeded ledger, one with values near the ends of the
+float range, a generated garbage file, a directory or a missing path. A
+successful JSON run holds no ``NaN``.
 """
 
 import contextlib
 import csv
+import dataclasses
 import io
+import json
 import os
 
 import pytest
@@ -19,7 +22,7 @@ from hypothesis import strategies as st
 
 from ecometab.cli import FIGURE_IDS, main
 from ecometab.ledger import COLUMNS, MONEY_ITEMS
-from helpers import lira_text, variant_ledger
+from helpers import ledger_of, lira_text, variant_ledger
 
 COMMANDS = ("report", "trend", "metabolism", "growth", "allometric", "crossover",
             "figures", "validate")
@@ -49,12 +52,46 @@ VALUES = {
 OWN_FLAGS = {"--item": ("trend", "growth"), "--figure": ("figures",)}
 
 
+def _extreme_ledger():
+    """A 1992-2015 ledger whose values reach from 1e-300 to 1.7e306.
+
+    A 1992 total_cost of 1e-300 makes its growth from 1992 overflow. 1997
+    is scaled by 1e291 but for its services of 1e-290, and 2015 by 1e-309,
+    so every share there is ordinary while 1 + the growth of total_revenue
+    rounds to 0 and the 1997 share of services underflows. In 2005 revenue
+    is 1 and the shares of surplus_or_loss and other_costs are -1.7e308 and
+    1.7e308; in 2006 the surplus is ten times revenue.
+    """
+    records = list(variant_ledger(5, "plain", n_years=24, first_year=1992).records)
+
+    def scaled(r, c):
+        return dataclasses.replace(
+            r, **{k: getattr(r, k) * c for k in MONEY_ITEMS if getattr(r, k) is not None})
+
+    records[0] = dataclasses.replace(records[0], total_cost=1e-300)
+    records[5] = dataclasses.replace(scaled(records[5], 1e291), services=1e-290)
+    records[13] = dataclasses.replace(
+        records[13], total_revenue=1.0, surplus_or_loss=-1.7e306, other_costs=1.7e306)
+    records[14] = dataclasses.replace(
+        records[14], surplus_or_loss=10 * records[14].total_revenue)
+    records[-1] = scaled(records[-1], 1e-309)
+    return ledger_of(records, "extreme")
+
+
+def _no_nan(constant):
+    # An exact fit's F statistic is Infinity by design; NaN never is.
+    assert constant != "NaN"
+    return float(constant)
+
+
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
     root = tmp_path_factory.mktemp("fuzz")
     for seed, kind in ((3, "plain"), (4, "gap")):
         ledger = variant_ledger(seed, kind, n_years=24, first_year=1992)
         (root / f"{kind}.csv").write_text(lira_text(ledger), encoding="utf-8")
+    (root / "extreme.csv").write_text(lira_text(_extreme_ledger(), euro_from=1992),
+                                      encoding="utf-8")
     (root / "folder").mkdir()
     (root / "out").mkdir()
     (root / "taken").write_text("a file where a directory is expected")
@@ -93,8 +130,9 @@ def test_every_run_exits_0_or_prints_one_error_line(workdir, data):
     command = data.draw(st.sampled_from(COMMANDS + ("summary",)), label="command")
     argv = [command]
     source = data.draw(st.sampled_from(["plain.csv", "plain.csv", "gap.csv", "gap.csv",
-                                        "garbage.csv", "garbage.csv", "garbage.csv", "folder",
-                                        "missing.csv", None]), label="--input")
+                                        "extreme.csv", "extreme.csv", "garbage.csv",
+                                        "garbage.csv", "garbage.csv", "folder", "missing.csv",
+                                        None]), label="--input")
     if source == "garbage.csv":
         (workdir / source).write_text(data.draw(_garbage()), encoding="utf-8")
     if source is not None:
@@ -125,6 +163,8 @@ def test_every_run_exits_0_or_prints_one_error_line(workdir, data):
     lines = stderr.getvalue().splitlines()
     if code == 0:
         assert lines == [], argv
+        if stdout.getvalue().startswith("{"):
+            json.loads(stdout.getvalue(), parse_constant=_no_nan)
     else:
         assert code == 1, argv
         assert len(lines) == 1 and lines[0].startswith("error: "), (argv, lines)

@@ -61,6 +61,14 @@ class TestTrendFit:
         assert fit.slope == pytest.approx(oracle_slope, rel=1e-8)
         assert abs(fit.slope - slope) <= 3 * fit.se_slope
 
+    def test_overflowing_trend_names_item(self):
+        # Revenue jumps to 1.7e308 in 2015: the line's value at year 0 overflows.
+        records = [record(year, revenue=1e8, personnel=1.0, total_cost=1.0)
+                   for year in range(1997, 2015)]
+        records.append(record(2015, revenue=1.7e308, personnel=1.0, total_cost=1.0))
+        with pytest.raises(DomainError, match="^trend of total_revenue overflows a float$"):
+            trend_fit(ledger_of(records), "total_revenue")
+
 
 class TestMetabolismIndex:
     def test_identity_ratio_is_100(self):
@@ -124,6 +132,11 @@ class TestArithmeticGrowth:
         series = Series((2000, 2001), (0.0, 2.0))
         with pytest.raises(DomainError):
             arithmetic_growth(series, 2000, 2001)
+
+    def test_overflowing_growth_names_years(self):
+        series = Series((1997, 2015), (1e-300, 1e10))
+        with pytest.raises(DomainError, match="^growth is not finite in 1997-2015$"):
+            arithmetic_growth(series, 1997, 2015)
 
     @given(st.floats(min_value=1e-6, max_value=1e6, allow_nan=False))
     def test_scale_invariance(self, c):
@@ -257,6 +270,20 @@ class TestCrossoverYears:
         crossings = crossover_years(a, b)
         assert len(crossings) == 1
         assert crossings[0].crossing_year == 2001.0
+
+    def test_differences_beyond_the_float_range(self):
+        a = Series((2000, 2001), (-1.7e308, 1.7e308))
+        b = Series((2000, 2001), (1.7e308, -1.7e308))
+        assert [c.crossing_year for c in crossover_years(a, b)] == [2000.5]
+        a = Series((2000, 2001), (-1.7e308, 3.0))
+        b = Series((2000, 2001), (1.7e308, 1.0))
+        assert [c.crossing_year for c in crossover_years(a, b)] == [2001.0]
+
+    def test_subnormal_differences(self):
+        # A quarter of 1e-323 rounds to 0, so these are interpolated unscaled.
+        a = Series((2000, 2001), (1e-323, 0.0))
+        b = Series((2000, 2001), (0.0, 1e-323))
+        assert [c.crossing_year for c in crossover_years(a, b)] == [2000.5]
 
     def test_alignment_error(self):
         with pytest.raises(AlignmentError):

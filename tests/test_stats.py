@@ -54,6 +54,8 @@ class TestOlsFit:
         assert all(r == pytest.approx(0.0, abs=1e-9) for r in fit.residuals)
         assert fit.se_slope == 0.0
         assert fit.p_slope == 0.0
+        assert not fit.degenerate
+        assert fit.f_statistic == math.inf
 
     def test_constant_response_is_degenerate(self):
         x, y = year_series(2000, [7.5] * 10)
@@ -63,6 +65,25 @@ class TestOlsFit:
         assert fit.r_squared == 0.0
         assert fit.f_statistic == 0.0
         assert fit.p_slope == 1.0
+        # Three 0.1s have no exact mean, so their residuals and se are not 0.
+        for values in ([7.5] * 10, [0.1] * 3):
+            x, y = year_series(2000, values)
+            fit = ols_fit(x, y)
+            n = len(values)
+            mean = math.fsum(y.values) / n
+            x_mean = math.fsum(x.values) / n
+            sxx = math.fsum((v - x_mean) ** 2 for v in x.values)
+            residuals = tuple(v - mean for v in y.values)
+            sigma2 = math.fsum(r * r for r in residuals) / (n - 2)
+            assert fit.residuals == residuals
+            assert fit.intercept == mean
+            assert fit.se_slope == pytest.approx(math.sqrt(sigma2 / sxx), rel=1e-12, abs=0.0)
+            assert fit.se_intercept == pytest.approx(
+                math.sqrt(sigma2 * (1.0 / n + x_mean * x_mean / sxx)), rel=1e-12, abs=0.0
+            )
+            assert fit.standardized_slope == 0.0
+            assert fit.exact_fit is False
+        assert fit.se_slope > 0.0
 
     def test_matches_grid_refinement_oracle(self):
         values = noisy_dataset(seed=42)
@@ -188,6 +209,8 @@ class TestExtremeMagnitudes:
     """
 
     @given(st.lists(_ordinary, min_size=3, max_size=25), st.integers(-900, 900))
+    @example(values=[1.5] * 5, j=996)  # a constant response of about 1e300
+    @example(values=[1.5] * 5, j=-997)  # and of about 1e-300
     def test_ols_fit(self, values, j):
         x, y = year_series(1997, values)
         base = ols_fit(x, y)
