@@ -1,13 +1,12 @@
 """Command-line front end and output formats.
 
-Subcommands run either the full report (``report.py``) or one analysis over
-the ledger's window and emit text tables, machine-readable JSON/CSV, or
-figure-data files. A subcommand's JSON and CSV are its section of the full
-report's. Text tables are a pure view; JSON carries every number at full
-precision, so display rounding never feeds back into computation. Output is
-deterministic: the same input file and configuration produce byte-identical
-results. Figure files are all-or-nothing: each is written to a temp file,
-and only when every one is written are they renamed into place.
+Every subcommand reads one ``Report`` (``report.py``): ``report`` and
+``figures`` every section, the others only their own, whose analyses alone
+run and name themselves in an error. A subcommand's JSON and CSV are its
+section of the full report's. Text tables are a pure view; JSON carries
+every number at full precision, so display rounding never feeds back into
+computation. Output is deterministic: the same input file and configuration
+produce byte-identical results. Figure files are all-or-nothing.
 """
 
 from __future__ import annotations
@@ -27,22 +26,10 @@ from .ledger import (
     MAIN_COST_ITEMS,
     MONEY_ITEMS,
     PERSONNEL_COMPONENTS,
-    LedgerSeries,
     ValidationFinding,
     extract_series,
-    validate_ledger,
 )
-from .metabolism import (
-    AllometricFit,
-    CostProfile,
-    Crossing,
-    GrowthRate,
-    MetabolismPoint,
-    allometric_fit,
-    crossover_years,
-    metabolism_index,
-    trend_fit,
-)
+from .metabolism import AllometricFit, CostProfile, Crossing, GrowthRate, MetabolismPoint
 from .report import (
     TREND_ITEMS,
     Report,
@@ -313,9 +300,10 @@ def _render_mean_costs_text(profile: CostProfile) -> str:
 
 
 def _ratio_text(numerator: float, denominator: float) -> str:
-    """``numerator / denominator`` to 4 decimals, or ``n/a`` where it has no finite value."""
+    """``numerator / denominator`` to 4 decimals, as ``.4e`` from 1e6; ``n/a`` if not finite."""
     ratio = numerator / denominator if denominator else math.nan
-    return f"{ratio:.4f}" if math.isfinite(ratio) else "n/a"
+    style = "e" if abs(ratio) >= 1e6 else "f"
+    return f"{ratio:.4{style}}" if math.isfinite(ratio) else "n/a"
 
 
 def _growth_factor(report: Report, item: str) -> float:
@@ -580,35 +568,29 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _analysis(command: str, ledger: LedgerSeries, config: ReportConfig, args):
-    """One analysis: (JSON payload, CSV header, CSV rows, text).
-
-    Validation covers the whole ledger, as in the report; every other
-    analysis runs on the window.
-    """
+def _section(report: Report, command: str):
+    """A subcommand's section of the report: (JSON payload, CSV header, CSV rows, text)."""
+    config = report.config
     if command == "validate":
-        findings = tuple(validate_ledger(ledger))
+        findings = report.validation_findings
         return ({"validation": [_fields(f) for f in findings]}, ["kind", "year", "message"],
                 _finding_rows(findings), lambda: _render_findings_text(findings))
-    window = ledger.window(config.period)
-    numerator, denominator = config.numerator_item, config.denominator_item
     if command in ("trend", "growth"):
-        analyze, render = ((trend_fit, render_table) if command == "trend"
-                           else (growth_over, _render_growth_text))
-        table = {item: analyze(window, item) for item in args.items or TREND_ITEMS}
+        table, render = ((report.trend_table, render_table) if command == "trend"
+                         else (report.growth_table, _render_growth_text))
         return ({command: _table_json(table)}, ["item", "field", "value"],
                 _table_rows(table), lambda: render(table))
     if command == "allometric":
-        fit = allometric_fit(window, numerator, denominator, alpha=config.alpha)
+        fit = report.allometric_table
         return ({"allometric": _fields(fit)}, ["field", "value"], _field_rows(fit),
-                lambda: _render_allometric_text(fit, numerator, denominator))
-    points = metabolism_index(window, numerator, denominator)
+                lambda: _render_allometric_text(fit, config.numerator_item,
+                                                config.denominator_item))
     if command == "metabolism":
+        points = report.metabolism_series
         return ({"metabolism": _metabolism_json(config, points)},
                 ["year", "share_percent"], _share_rows(points),
                 lambda: _render_shares_text([("share_percent", points)]))
-    other = metabolism_index(window, "other_costs", denominator)
-    crossings = crossover_years(share_series(points), share_series(other))
+    crossings = report.crossings
     return ({"crossings": [_fields(c) for c in crossings]},
             ["start_year", "end_year", "crossing_year"],
             ([c.start_year, c.end_year, repr(c.crossing_year)] for c in crossings),
@@ -622,7 +604,7 @@ def _run_command(command: str, config: ReportConfig, args: argparse.Namespace) -
     if command == "figures":
         paths = _write_figures(run_report(config), args.figures or FIGURE_IDS, args.output_dir)
         return "".join(f"{path}\n" for path in paths)
-    payload, header, rows, text = _analysis(command, load_ledger(config), config, args)
+    payload, header, rows, text = _section(Report(load_ledger(config), config), command)
     if args.output_format == "json":
         return _json(payload)
     if args.output_format == "csv":
@@ -640,6 +622,7 @@ def main(argv: list[str] | None = None) -> int:
             denominator_item=args.denominator,
             alpha=args.alpha,
             delimiter=args.delimiter,
+            trend_items=tuple(getattr(args, "items", None) or TREND_ITEMS),
         )
         sys.stdout.write(_run_command(args.command, config, args))
         return 0

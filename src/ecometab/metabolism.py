@@ -105,7 +105,7 @@ def trend_fit(ledger: LedgerSeries, item: str) -> RegressionFit:
     years = Series(values.years, tuple(float(y) for y in values.years))
     try:
         return ols_fit(years, values)
-    except OverflowError:
+    except DomainError:  # the one ols_fit raises on a year trend: an overflow
         raise DomainError(f"trend of {item} overflows a float") from None
 
 

@@ -1,7 +1,9 @@
 """Report assembly: every analysis over one window of one ledger.
 
-``run_report`` parses the ledger file, cuts it to the configured year window
-once, and runs each analysis on that window. Rendering lives in ``cli.py``.
+A ``Report`` holds a parsed ledger and its configuration; each section
+runs its analysis through ``step``, on the window cut once from the ledger,
+when it is first read. ``run_report`` reads every section in report order;
+a subcommand reads only its own. Rendering lives in ``cli.py``.
 """
 
 from __future__ import annotations
@@ -9,6 +11,7 @@ from __future__ import annotations
 import os
 from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import DomainError, EcometabError
 from .ledger import (
@@ -47,6 +50,7 @@ class ReportConfig:
     denominator_item: str = "total_revenue"
     alpha: float = 0.05
     delimiter: str = ","
+    trend_items: tuple[str, ...] = TREND_ITEMS  # the trend and growth tables' rows
 
     def __post_init__(self):
         if self.period[0] >= self.period[1]:
@@ -59,25 +63,73 @@ class ReportConfig:
             raise DomainError(f"delimiter must be one character, got {self.delimiter!r}")
 
 
+# The report's sections in report order: ``run_report`` reads them in this
+# order, so a failing report stops at the same analysis every time.
+SECTIONS = ("trend_table", "growth_table", "allometric_table", "metabolism_series",
+            "other_costs_share", "crossings", "mean_costs", "validation_findings")
+
+
+def step(name: str, analysis, *args, **kwargs):
+    """``analysis(*args, **kwargs)``; an error names the analysis: ``<name>: <message>``."""
+    try:
+        return analysis(*args, **kwargs)
+    except EcometabError as exc:
+        raise EcometabError(f"{name}: {exc}") from exc
+
+
 @dataclass(frozen=True)
 class Report:
-    """All analyses over one ledger, ready for rendering.
+    """The analyses of one ledger, each run through ``step`` when its section is first read.
 
-    ``ledger`` is the whole parsed file; ``window`` is its records inside
-    ``config.period``, the data every analysis ran on.
+    ``window`` is the ledger's records inside ``config.period``, the data of
+    every analysis but validation, which covers the whole ledger. A section
+    looks its analysis up by name when it runs, so rebinding one reaches it.
     """
 
-    trend_table: Mapping[str, RegressionFit]
-    growth_table: Mapping[str, GrowthRate]
-    allometric_table: AllometricFit
-    metabolism_series: tuple[MetabolismPoint, ...]
-    other_costs_share: tuple[MetabolismPoint, ...]
-    crossings: tuple[Crossing, ...]
-    mean_costs: CostProfile
-    validation_findings: tuple[ValidationFinding, ...]
     ledger: LedgerSeries
-    window: LedgerSeries
     config: ReportConfig
+
+    @cached_property
+    def window(self) -> LedgerSeries:
+        return self.ledger.window(self.config.period)
+
+    @cached_property
+    def trend_table(self) -> Mapping[str, RegressionFit]:
+        return {item: step(f"trend[{item}]", trend_fit, self.window, item)
+                for item in self.config.trend_items}
+
+    @cached_property
+    def growth_table(self) -> Mapping[str, GrowthRate]:
+        return {item: step(f"growth[{item}]", growth_over, self.window, item)
+                for item in self.config.trend_items}
+
+    @cached_property
+    def allometric_table(self) -> AllometricFit:
+        return step("allometric", allometric_fit, self.window, self.config.numerator_item,
+                    self.config.denominator_item, alpha=self.config.alpha)
+
+    @cached_property
+    def metabolism_series(self) -> tuple[MetabolismPoint, ...]:
+        return step("metabolism", metabolism_index, self.window, self.config.numerator_item,
+                    self.config.denominator_item)
+
+    @cached_property
+    def other_costs_share(self) -> tuple[MetabolismPoint, ...]:
+        return step("metabolism[other_costs]", metabolism_index, self.window, "other_costs",
+                    self.config.denominator_item)
+
+    @cached_property
+    def crossings(self) -> tuple[Crossing, ...]:
+        shares = share_series(self.metabolism_series), share_series(self.other_costs_share)
+        return step("crossover", crossover_years, *shares)
+
+    @cached_property
+    def mean_costs(self) -> CostProfile:
+        return step("mean_costs", mean_cost_profile, self.window)
+
+    @cached_property
+    def validation_findings(self) -> tuple[ValidationFinding, ...]:
+        return tuple(validate_ledger(self.ledger))
 
 
 def _stem(path: str | os.PathLike[str]) -> str:
@@ -110,45 +162,8 @@ def share_series(points: tuple[MetabolismPoint, ...]) -> Series:
 
 
 def run_report(config: ReportConfig) -> Report:
-    """Run every analysis; any failure names the analysis that caused it."""
-    ledger = load_ledger(config)
-    window = ledger.window(config.period)
-    numerator, denominator = config.numerator_item, config.denominator_item
-
-    def step(name, analysis, *args, **kwargs):
-        try:
-            return analysis(*args, **kwargs)
-        except EcometabError as exc:
-            raise EcometabError(f"{name}: {exc}") from exc
-
-    trend_table = {item: step(f"trend[{item}]", trend_fit, window, item) for item in TREND_ITEMS}
-    growth_table = {
-        item: step(f"growth[{item}]", growth_over, window, item) for item in TREND_ITEMS
-    }
-    allometric_table = step(
-        "allometric", allometric_fit, window, numerator, denominator, alpha=config.alpha
-    )
-    metabolism_series = step("metabolism", metabolism_index, window, numerator, denominator)
-    other_costs_share = step(
-        "metabolism[other_costs]", metabolism_index, window, "other_costs", denominator
-    )
-    crossings = step(
-        "crossover",
-        crossover_years,
-        share_series(metabolism_series),
-        share_series(other_costs_share),
-    )
-    mean_costs = step("mean_costs", mean_cost_profile, window)
-    return Report(
-        trend_table=trend_table,
-        growth_table=growth_table,
-        allometric_table=allometric_table,
-        metabolism_series=metabolism_series,
-        other_costs_share=other_costs_share,
-        crossings=crossings,
-        mean_costs=mean_costs,
-        validation_findings=tuple(validate_ledger(ledger)),
-        ledger=ledger,
-        window=window,
-        config=config,
-    )
+    """Run every analysis in report order; any failure names the analysis that caused it."""
+    report = Report(load_ledger(config), config)
+    for section in SECTIONS:
+        getattr(report, section)
+    return report

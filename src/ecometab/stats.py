@@ -323,6 +323,8 @@ def ols_fit(x: Series, y: Series) -> RegressionFit:
         AlignmentError: the year sets differ.
         InsufficientDataError: fewer than 3 points.
         DegenerateRegressorError: x has zero variance.
+        DomainError: a level of the fitted line leaves the float range, as the
+            intercept at x = 0 of a steep year trend of values near 1e308 does.
     """
     if x.years != y.years:
         raise AlignmentError("x and y must share the same years")
@@ -373,18 +375,21 @@ def ols_fit(x: Series, y: Series) -> RegressionFit:
             # p_value_f(f_stat, 1, df) would call betainc with the very arguments
             # p_value_t passes, so the F tail is the t tail to the bit.
             p_slope = p_value_t(t_stat, df)
-    return RegressionFit(
-        n=n,
-        intercept=math.ldexp(intercept, k),
-        slope=math.ldexp(slope, k - h),
-        se_intercept=math.ldexp(se_intercept, k),
-        se_slope=math.ldexp(se_slope, k - h),
-        standardized_slope=r,
-        r_squared=r * r,
-        f_statistic=f_stat,
-        p_slope=p_slope,
-        p_f=p_slope,
-        residuals=tuple(math.ldexp(e, k) for e in residuals),
-        degenerate=degenerate,
-        exact_fit=exact_fit,
-    )
+    try:  # math.ldexp raises OverflowError past the float range
+        return RegressionFit(
+            n=n,
+            intercept=math.ldexp(intercept, k),
+            slope=math.ldexp(slope, k - h),
+            se_intercept=math.ldexp(se_intercept, k),
+            se_slope=math.ldexp(se_slope, k - h),
+            standardized_slope=r,
+            r_squared=r * r,
+            f_statistic=f_stat,
+            p_slope=p_slope,
+            p_f=p_slope,
+            residuals=tuple(math.ldexp(e, k) for e in residuals),
+            degenerate=degenerate,
+            exact_fit=exact_fit,
+        )
+    except OverflowError:
+        raise DomainError("fitted line overflows a float") from None

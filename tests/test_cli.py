@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import json
 import math
@@ -16,12 +17,13 @@ from ecometab.cli import (
     main,
     render_report_text,
     render_table,
+    report_to_csv,
     report_to_json,
     run_report,
 )
 from ecometab.errors import DomainError, EcometabError
 from ecometab.ledger import Series
-from ecometab.report import load_ledger
+from ecometab.report import SECTIONS, load_ledger
 from ecometab.stats import RegressionFit, ols_fit
 from helpers import (
     ledger_of,
@@ -29,6 +31,7 @@ from helpers import (
     power_law_ledger,
     random_ledger,
     record,
+    variant_ledger,
     write_ledger_file,
 )
 
@@ -211,6 +214,33 @@ class TestReportText:
         assert err == ""
         assert main(["report", "--input", str(path), "--format", "json", *argv]) == 0
 
+    def test_huge_cross_check_ratio_keeps_a_fixed_width(self, tmp_path, capsys):
+        # Services grow from 1e-290 to about 1e299: a finite ratio near 1.7e298.
+        records = [dataclasses.replace(r, **{item: getattr(r, item) * 1e290 for item in (
+            "total_revenue", "cost_of_personnel", "total_cost", "other_costs")})
+            for r in random_ledger(seed=21).records]
+        records[0] = dataclasses.replace(records[0], services=1e-290)
+        path = write_ledger_file(tmp_path / "ledger.csv", ledger_of(records))
+        assert main(["report", "--input", str(path), "--numerator", "services"]) == 0
+        out, err = capsys.readouterr()
+        checks = out.split("\nCross-checks\n")[1].splitlines()
+        assert checks[1] == "  (1 + growth of services)/(1 + growth of total_revenue) = 1.7176e+298"
+        assert max(map(len, checks)) < 100
+        assert err == ""
+
+    def test_rendering_leaves_every_section_as_it_was(self, tmp_path):
+        # The emitters hand each result's own __dict__ to the encoder, not a copy;
+        # the sections are cached properties, so dataclasses.asdict(report) misses them.
+        path = tmp_path / "mismatch31.csv"
+        path.write_text(lira_text(variant_ledger(31, "mismatch", n_years=24, first_year=1992)),
+                        encoding="utf-8")
+        report = run_report(ReportConfig(input_path=path, period=(1992, 2015)))
+        assert report.crossings and report.validation_findings
+        before = {name: copy.deepcopy(getattr(report, name)) for name in ("ledger", *SECTIONS)}
+        for render in (report_to_json, report_to_csv, render_report_text):
+            render(report)
+        assert {name: getattr(report, name) for name in before} == before
+
 
 class TestFigures:
     def test_fig4_identity_ledger_is_all_100(self, tmp_path):
@@ -224,10 +254,8 @@ class TestFigures:
         assert all(line.split(",")[1] == "100.0" for line in lines[1:])
 
     def test_fig1_two_point_mean(self, tmp_path):
-        # Figure emission only needs the profile, so a 2-record ledger is
+        # fig1 reads only the mean cost profile, so a 2-record ledger is
         # enough here even though the regression tables require 3 points.
-        from ecometab.metabolism import mean_cost_profile
-
         records = [
             record(1997, revenue=10.0, personnel=4.0, total_cost=9.0, services=1.0,
                    other_costs=1.0),
@@ -236,10 +264,7 @@ class TestFigures:
         ]
         ledger = ledger_of(records)
         report = Report(
-            trend_table={}, growth_table={}, allometric_table=None,
-            metabolism_series=(), other_costs_share=(), crossings=(),
-            mean_costs=mean_cost_profile(ledger),
-            validation_findings=(), ledger=ledger, window=ledger,
+            ledger=ledger,
             config=ReportConfig(input_path=tmp_path / "two.csv", period=(1997, 1998)),
         )
         out = emit_figure_data(report, "fig1", tmp_path)
@@ -501,7 +526,7 @@ class TestHostileInputOnTheCommandLine:
         self.assert_one_error_line(result, "not finite in 1997")
 
     @pytest.mark.parametrize("command, prefix", [("report", "growth[total_cost]: "),
-                                                 ("growth", "")])
+                                                 ("growth", "growth[total_cost]: ")])
     def test_growth_that_overflows(self, tmp_path, command, prefix):
         records = list(random_ledger(seed=21).records)
         records[0] = dataclasses.replace(records[0], total_cost=1e-300)
@@ -515,6 +540,36 @@ class TestHostileInputOnTheCommandLine:
         path = write_ledger_file(tmp_path / "huge.csv", ledger_of(records))
         self.assert_one_error_line(run_cli("report", "--input", str(path)),
                                    "error: trend[total_revenue]: trend of total_revenue overflows")
+
+    @pytest.mark.parametrize("command, change, argv, message", [
+        ("trend", (-1, "total_revenue", 1.7e308), [],
+         "trend[total_revenue]: trend of total_revenue overflows a float"),
+        ("metabolism", (0, "total_revenue", 1e-300), [],
+         "metabolism: share of cost_of_personnel in total_revenue is not finite in 1997"),
+        ("allometric", (3, "cost_of_personnel", 0.0), [],
+         "allometric: cost_of_personnel is not positive in 2000; log-log fit impossible"),
+        ("crossover", (0, "other_costs", None), [],
+         "metabolism[other_costs]: 'other_costs' not reported for years: 1997"),
+        ("crossover", None, ["--from", "2015", "--to", "2020"],
+         "crossover: crossover detection needs at least 2 points"),
+    ], ids=["trend", "metabolism", "allometric", "crossover-share", "crossover"])
+    def test_subcommand_error_names_the_analysis(self, tmp_path, command, change, argv,
+                                                 message):
+        records = list(random_ledger(seed=21).records)
+        if change:
+            at, item, value = change
+            records[at] = dataclasses.replace(records[at], **{item: value})
+        path = write_ledger_file(tmp_path / "hostile.csv", ledger_of(records))
+        result = run_cli(command, "--input", str(path), *argv)
+        self.assert_one_error_line(result)
+        assert result.stderr == f"error: {message}\n"
+
+    def test_validate_ignores_the_window(self, ledger_file):
+        whole = run_cli("validate", "--input", str(ledger_file))
+        result = run_cli("validate", "--input", str(ledger_file), "--from", "2050", "--to", "2060")
+        assert result.returncode == whole.returncode == 0
+        assert result.stderr == ""
+        assert result.stdout == whole.stdout
 
     def test_help_still_exits_zero(self):
         result = run_cli("report", "--help")

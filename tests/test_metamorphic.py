@@ -1,0 +1,85 @@
+"""Metamorphic relations at the command line, run in-process.
+
+The order of a ledger's data rows and the blank lines between them carry
+no meaning: the parser sorts records by year and skips rows whose cells are
+all empty. So every command, in every format, must print the same bytes
+and exit with the same code on a shuffled copy with blank lines inserted,
+and ``figures`` must write the same files.
+"""
+
+import contextlib
+import io
+import random
+import tempfile
+from pathlib import Path
+
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
+
+from ecometab.cli import main
+from ecometab.ledger import MONEY_ITEMS
+from helpers import VARIANT_KINDS, lira_text, variant_ledger
+
+COMMANDS = ("report", "trend", "metabolism", "growth", "allometric", "crossover", "validate")
+FORMATS = ("text", "json", "csv")
+# Lines the parser skips: no cell holds anything but whitespace.
+BLANK_LINES = ("", " ", "\t", ",,", " , ")
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _outputs(directory: Path, options, items):
+    """Every command's (exit code, stdout, stderr) on ``directory``'s ledger, and the figures."""
+    path = str(directory / "ledger.csv")
+    runs = {
+        (command, output_format): _run([
+            command, "--input", path, "--format", output_format, *options,
+            *(items if command in ("trend", "growth") else []),
+        ])
+        for command in COMMANDS for output_format in FORMATS
+    }
+    out_dir = directory / "figs"
+    out_dir.mkdir()
+    code, out, err = _run(["figures", "--input", path, "--out-dir", str(out_dir), *options])
+    runs["figures"] = code, out.replace(str(directory), "<dir>"), err
+    runs["figure files"] = {p.name: p.read_text(encoding="utf-8") for p in out_dir.iterdir()}
+    return runs
+
+
+# A fixed profile: the same examples on every run, about two seconds in all. A
+# failing example is reported as drawn: shrinking one can take minutes.
+@settings(max_examples=12, deadline=None, derandomize=True, database=None,
+          phases=(Phase.explicit, Phase.generate))
+@given(
+    seed=st.integers(0, 10_000),
+    kind=st.sampled_from(VARIANT_KINDS),
+    shuffle_seed=st.integers(0, 2**32 - 1),
+    blanks=st.lists(st.tuples(st.integers(0, 30), st.sampled_from(BLANK_LINES)), max_size=6),
+    options=st.sampled_from([
+        [],
+        ["--from", "2000", "--to", "2010"],
+        ["--from", "1990", "--to", "1993"],
+        ["--numerator", "services", "--denominator", "total_cost", "--alpha", "0.2"],
+    ]),
+    items=st.lists(st.sampled_from(MONEY_ITEMS), max_size=3),
+)
+def test_row_order_and_blank_lines_change_no_output(seed, kind, shuffle_seed, blanks,
+                                                    options, items):
+    text = lira_text(variant_ledger(seed, kind, n_years=24, first_year=1992))
+    header, *rows = text.splitlines()
+    random.Random(shuffle_seed).shuffle(rows)
+    for at, line in blanks:
+        rows.insert(at % (len(rows) + 1), line)
+    shuffled = "\n".join([header, *rows]) + "\n"
+    items = [flag for item in items for flag in ("--item", item)]
+    with tempfile.TemporaryDirectory() as tmp:
+        original, changed = Path(tmp, "original"), Path(tmp, "changed")
+        for directory, content in ((original, text), (changed, shuffled)):
+            directory.mkdir()
+            (directory / "ledger.csv").write_text(content, encoding="utf-8")
+        assert _outputs(original, options, items) == _outputs(changed, options, items)

@@ -111,6 +111,12 @@ class TestOlsFit:
         with pytest.raises(DegenerateRegressorError):
             ols_fit(x, y)
 
+    def test_fitted_line_that_overflows(self):
+        # The slope fits, but the intercept at year 0 lies past the float range.
+        x, y = year_series(1997, [1e9 * (i + 1) for i in range(18)] + [1.7e308])
+        with pytest.raises(DomainError, match="fitted line overflows a float"):
+            ols_fit(x, y)
+
     def test_identity_suite_on_seeded_data(self):
         for seed in range(25):
             values = noisy_dataset(seed=seed)
