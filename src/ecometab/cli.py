@@ -19,7 +19,8 @@ import math
 import os
 import sys
 from collections.abc import Mapping
-from itertools import chain
+from itertools import chain, repeat
+from operator import attrgetter, itemgetter
 
 from .errors import DomainError, EcometabError
 from .ledger import (
@@ -69,6 +70,7 @@ def _fields(result) -> dict:
 
 
 _SCALARS = frozenset((str, int, float, bool, type(None)))
+_YEAR, _SHARE = attrgetter("year"), attrgetter("share_percent")
 
 
 @functools.cache
@@ -99,16 +101,7 @@ def _emit(value, depth: int, out) -> None:
         return
     outer, inner = "\n" + "  " * depth, "\n" + "  " * (depth + 1)
     types = set(map(type, children))
-    if (brackets == "[]" and types == {dict} and all(children)
-            and set(map(type, chain.from_iterable(map(dict.values, children)))) <= _SCALARS):
-        # A list of flat records, encoded at the records' depth. ensure_ascii
-        # escapes every newline in a string, so each "},\n" closes a record:
-        # move the list's own separators and brackets out one level.
-        deeper = "\n" + "  " * (depth + 2)
-        text = _encode_at(depth + 1)(value)
-        out("[" + inner + "{" + deeper)
-        out(text[2:-2].replace("}," + deeper + "{", inner + "}," + inner + "{" + deeper))
-        out(inner + "}" + outer + "]")
+    if brackets == "[]" and types == {dict} and _emit_records(children, depth, out):
         return
     out(brackets[0] + inner)
     if types <= _SCALARS:
@@ -134,13 +127,38 @@ def _emit(value, depth: int, out) -> None:
     out(outer + brackets[1])
 
 
+def _emit_records(records: list, depth: int, out) -> bool:
+    """Pass a list of flat records with the same str keys to ``out`` as ``_emit`` would.
+
+    Each key's column of values is encoded in one C call with the separator
+    ",\\n": ensure_ascii escapes every newline in a string, so splitting there
+    gives each value's JSON. Returns False, passing nothing, for any other list.
+    """
+    keys = records[0].keys()
+    if (not keys or set(map(type, keys)) != {str}
+            or not all(map(keys.__eq__, map(dict.keys, records)))):
+        return False
+    keys = sorted(keys)  # json's order with sort_keys
+    columns = [list(map(itemgetter(key), records)) for key in keys]
+    if not set(map(type, chain.from_iterable(columns))) <= _SCALARS:
+        return False
+    encode, inner = _encode_at(-1), "\n" + "  " * (depth + 1)  # encode separates by ",\n"
+    parts = []  # per key, the text before each value, then the values; then each end
+    for n, (key, column) in enumerate(zip(keys, columns)):
+        parts.append(repeat(("," if n else "{") + inner + "  " + encode(key) + ": "))
+        parts.append(encode(column)[1:-1].split(",\n"))
+    parts.append(repeat(inner + "}"))
+    out("[" + inner + ("," + inner).join(map("".join, zip(*parts))) + "\n" + "  " * depth + "]")
+    return True
+
+
 def _json(payload) -> str:
     """``json.dumps(payload, sort_keys=True, indent=2)`` plus a newline, byte for byte.
 
     json encodes in C only without ``indent``, so each container is encoded
     in one C call and laid out by its separators: a flat one whole, a list
-    of flat records whole, any other with its container children left to
-    their own calls.
+    of flat records a column of values at a time, any other with its
+    container children left to their own calls.
     """
     parts: list[str] = []
     _emit(payload, 0, parts.append)
@@ -148,11 +166,20 @@ def _json(payload) -> str:
     return "".join(parts)
 
 
-def _csv(header: list[str], rows) -> str:
+def _csv(header: list[str], *blocks) -> str:
+    """The header, then each block of rows, as ``csv.writer`` writes them with "\\n" line ends."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
+    for rows in ([header], *blocks):
+        rows = list(rows)
+        cells = list(chain.from_iterable(rows))
+        # The writer quotes a cell holding the delimiter, the quote or a line break, and
+        # an empty lone cell; before 3.11 it refuses a NUL. Without these, it joins them.
+        if (set(map(type, cells)) <= {str} and min(map(len, rows), default=2) > 1
+                and not any(char in "".join(cells) for char in ',"\r\n\0')):
+            buffer.write("\n".join([*map(",".join, rows), ""]))
+        else:
+            writer.writerows(rows)
     return buffer.getvalue()
 
 
@@ -178,7 +205,7 @@ def _table_rows(table: Mapping, *prefix: str):
 
 
 def _share_rows(points: tuple[MetabolismPoint, ...], *prefix: str):
-    return ([*prefix, str(p.year), repr(p.share_percent)] for p in points)
+    return zip(*map(repeat, prefix), map(str, map(_YEAR, points)), map(repr, map(_SHARE, points)))
 
 
 def _finding_rows(findings: tuple[ValidationFinding, ...], *prefix: str):
@@ -189,7 +216,7 @@ def _metabolism_json(config: ReportConfig, points: tuple[MetabolismPoint, ...]) 
     return {
         "numerator": config.numerator_item,
         "denominator": config.denominator_item,
-        "points": [_fields(p) for p in points],
+        "points": list(map(_fields, points)),
     }
 
 
@@ -206,18 +233,20 @@ def _t_test_p(value: float, se: float, n: int, exact_fit: bool) -> float:
     return p_value_t(value / se, n - 2)
 
 
-def _coef_text(value: float, se: float, p: float, decimals: int = 3) -> str:
-    return f"{value:.{decimals}f}{significance_stars(p)} ({se:.{decimals}f})"
+def _number_text(value: float, decimals: int = 3) -> str:
+    """``value`` to ``decimals`` places; from 1e15 on, where fixed point runs long, as ``e``."""
+    return f"{value:.{decimals}{'e' if abs(value) >= 1e15 else 'f'}}"
 
 
-def _columns(rows: list[tuple[str, ...]]) -> str:
-    widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
-    lines = []
-    for row in rows:
-        cells = [row[0].ljust(widths[0])]
-        cells += [cell.rjust(width) for cell, width in zip(row[1:], widths[1:])]
-        lines.append("  " + "  ".join(cells).rstrip())
-    return "\n".join(lines)
+def _coef_text(value: float, se: float, p: float) -> str:
+    return f"{_number_text(value)}{significance_stars(p)} ({_number_text(se)})"
+
+
+def _columns(first, *others) -> str:
+    """Columns of cells as indented lines: the first left-aligned, the others right-aligned."""
+    cells = [map(str.ljust, first, repeat(max(map(len, first))))]
+    cells += [map(str.rjust, column, repeat(max(map(len, column)))) for column in others]
+    return "  " + "\n  ".join(map(str.rstrip, map("  ".join, zip(*cells))))
 
 
 def render_table(fits: Mapping[str, RegressionFit]) -> str:
@@ -238,7 +267,7 @@ def render_table(fits: Mapping[str, RegressionFit]) -> str:
             f"{fit.r_squared:.2f}",
             f"{fit.f_statistic:.2f} ({_p_text(fit.p_f)})",
         ))
-    return _columns(rows) + "\n"
+    return _columns(*zip(*rows)) + "\n"
 
 
 def _render_growth_text(growth: Mapping[str, GrowthRate]) -> str:
@@ -246,13 +275,13 @@ def _render_growth_text(growth: Mapping[str, GrowthRate]) -> str:
     for item, rate in growth.items():
         rows.append((
             item,
-            f"{rate.start_value:.3f}",
-            f"{rate.end_value:.3f}",
+            _number_text(rate.start_value),
+            _number_text(rate.end_value),
             str(rate.t_years),
-            f"{rate.r_per_year:.6f}",
-            f"{100.0 * rate.cumulative:.2f}",
+            _number_text(rate.r_per_year, 6),
+            _number_text(100.0 * rate.cumulative, 2),
         ))
-    return _columns(rows) + "\n"
+    return _columns(*zip(*rows)) + "\n"
 
 
 def _render_allometric_text(fit: AllometricFit, dependent: str, explanatory: str) -> str:
@@ -272,10 +301,9 @@ def _render_allometric_text(fit: AllometricFit, dependent: str, explanatory: str
 
 def _render_shares_text(columns: list[tuple[str, tuple[MetabolismPoint, ...]]]) -> str:
     """A year column, then one named column of shares per series over the same years."""
-    rows = [("year", *(name for name, _ in columns))]
-    for points in zip(*(points for _, points in columns)):
-        rows.append((str(points[0].year), *(f"{p.share_percent:.2f}" for p in points)))
-    return _columns(rows) + "\n"
+    years = ["year", *map(str, map(_YEAR, columns[0][1]))]
+    shares = ([name, *map(format, map(_SHARE, points), repeat(".2f"))] for name, points in columns)
+    return _columns(years, *shares) + "\n"
 
 
 def _render_crossings_text(crossings: tuple[Crossing, ...]) -> str:
@@ -291,9 +319,8 @@ def _render_crossings_text(crossings: tuple[Crossing, ...]) -> str:
 def _render_mean_costs_text(profile: CostProfile) -> str:
     rows = [("item", "n", "mean", "sd", "min", "max")]
     for item, d in profile.by_item.items():
-        rows.append((item, str(d.n), f"{d.mean:.3f}", f"{d.sd:.3f}",
-                     f"{d.minimum:.3f}", f"{d.maximum:.3f}"))
-    text = _columns(rows) + "\n"
+        rows.append((item, str(d.n), *map(_number_text, (d.mean, d.sd, d.minimum, d.maximum))))
+    text = _columns(*zip(*rows)) + "\n"
     if profile.omitted:
         text += f"  omitted (not reported every year): {', '.join(profile.omitted)}\n"
     return text
@@ -377,7 +404,7 @@ def report_to_json(report: Report) -> str:
         "allometric": _fields(report.allometric_table),
         "metabolism": {
             **_metabolism_json(report.config, report.metabolism_series),
-            "other_costs_points": [_fields(p) for p in report.other_costs_share],
+            "other_costs_points": list(map(_fields, report.other_costs_share)),
         },
         "crossings": [_fields(c) for c in report.crossings],
         "mean_costs": {
@@ -388,22 +415,25 @@ def report_to_json(report: Report) -> str:
     })
 
 
-def _report_rows(report: Report):
+def _report_blocks(report: Report) -> tuple:
+    """The report's CSV rows, a block per section, each section read in report order."""
     numerator = report.config.numerator_item
-    yield from _table_rows(report.trend_table, "trend")
-    yield from _table_rows(report.growth_table, "growth")
-    yield from _field_rows(report.allometric_table, "allometric", numerator)
-    yield from _share_rows(report.metabolism_series, "metabolism", numerator)
-    yield from _share_rows(report.other_costs_share, "metabolism", "other_costs")
-    for c in report.crossings:
-        yield ["crossings", f"{c.start_year}-{c.end_year}", "crossing_year", repr(c.crossing_year)]
-    yield from _table_rows(report.mean_costs.by_item, "mean_costs")
-    yield from _finding_rows(report.validation_findings, "validation")
+    return (
+        _table_rows(report.trend_table, "trend"),
+        _table_rows(report.growth_table, "growth"),
+        _field_rows(report.allometric_table, "allometric", numerator),
+        _share_rows(report.metabolism_series, "metabolism", numerator),
+        _share_rows(report.other_costs_share, "metabolism", "other_costs"),
+        (["crossings", f"{c.start_year}-{c.end_year}", "crossing_year", repr(c.crossing_year)]
+         for c in report.crossings),
+        _table_rows(report.mean_costs.by_item, "mean_costs"),
+        _finding_rows(report.validation_findings, "validation"),
+    )
 
 
 def report_to_csv(report: Report) -> str:
     """Long-format CSV: section,item,field,value at full precision."""
-    return _csv(["section", "item", "field", "value"], _report_rows(report))
+    return _csv(["section", "item", "field", "value"], *_report_blocks(report))
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,9 @@ digits: a ``.`` decimal separator, no thousands separators, no ``_``
 digit grouping. Years run from 1 to 9999. A leading UTF-8 byte-order mark
 is ignored.
 
+Parsing is column-at-a-time: the rows are read once, and each column is
+checked and converted whole by C-level built-ins; only a column that fails
+is walked cell by cell, and of all faults the first in file order is raised.
 All types here are immutable after construction and safe to share across
 threads; parsing is single-threaded per stream.
 """
@@ -25,8 +28,11 @@ import csv
 import io
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum
+from functools import cached_property
+from itertools import compress, repeat
+from operator import add, attrgetter, gt, itemgetter, lt, mul, ne, sub, truediv
 
 from .errors import DomainError, EmptyPeriodError, MissingDataError, ParseError
 
@@ -43,6 +49,9 @@ _MIN_YEAR, _MAX_YEAR = 1, 9999
 class Currency(Enum):
     EUR = "EUR"
     ITL = "ITL"
+
+
+_DIVISORS = {Currency.EUR.value: 1.0, Currency.ITL.value: LIRE_PER_EURO}  # amount / divisor: euros
 
 
 # Canonical column order of the input/output file format.
@@ -141,14 +150,13 @@ class LedgerSeries:
     records: tuple[FiscalRecord, ...]
 
     def __post_init__(self):
-        for prev, cur in zip(self.records, self.records[1:]):
-            if cur.year <= prev.year:
-                raise DomainError(
-                    f"records must have strictly increasing years "
-                    f"({prev.year} followed by {cur.year})"
-                )
-        currencies = {r.currency for r in self.records}
-        if len(currencies) > 1:
+        years = self.years
+        if not all(map(lt, years, years[1:])):
+            prev, cur = next((p, c) for p, c in zip(years, years[1:]) if c <= p)
+            raise DomainError(f"records must have strictly increasing years "
+                              f"({prev} followed by {cur})")
+        currencies = tuple(map(attrgetter("currency"), self.records))
+        if any(map(ne, currencies, currencies[1:])):
             raise DomainError("records mix currencies; normalize before building a series")
 
     def __len__(self) -> int:
@@ -157,17 +165,24 @@ class LedgerSeries:
     def __iter__(self) -> Iterator[FiscalRecord]:
         return iter(self.records)
 
-    @property
+    @cached_property
     def years(self) -> tuple[int, ...]:
-        return tuple(r.year for r in self.records)
+        return tuple(map(attrgetter("year"), self.records))
+
+    @cached_property
+    def columns(self) -> dict[str, tuple[float | None, ...]]:
+        """Each money item's values in record order, ``None`` where unreported; read only."""
+        return {name: tuple(map(attrgetter(name), self.records)) for name in MONEY_ITEMS}
 
     def window(self, period: tuple[int, int]) -> "LedgerSeries":
-        """The records inside an inclusive (first, last) year window.
+        """The records inside an inclusive (first, last) year window; ``self`` if that is all.
 
         Raises:
             EmptyPeriodError: no record falls inside the window.
         """
         start, end = period
+        if self.years and start <= self.years[0] and self.years[-1] <= end:
+            return self
         records = tuple(r for r in self.records if start <= r.year <= end)
         if not records:
             raise EmptyPeriodError(f"no records in period {start}-{end}")
@@ -184,9 +199,8 @@ class Series:
     def __post_init__(self):
         if len(self.years) != len(self.values):
             raise DomainError("years and values differ in length")
-        for prev, cur in zip(self.years, self.years[1:]):
-            if cur <= prev:
-                raise DomainError("years must be strictly increasing")
+        if not all(map(lt, self.years, self.years[1:])):
+            raise DomainError("years must be strictly increasing")
 
     def __len__(self) -> int:
         return len(self.years)
@@ -227,7 +241,9 @@ def normalize_ledger(ledger: LedgerSeries) -> LedgerSeries:
     return LedgerSeries(ledger.organization, tuple(normalize_currency(r) for r in ledger.records))
 
 
-def _parse_number(cell: str, row: int, column: str) -> float:
+def _parse_number(cell: str, row: int, column: str, nonnegative: bool) -> float | None:
+    if not cell:
+        return None
     # float() also takes "1_000" and non-ASCII digits; the file format does not.
     if not cell.isascii() or "_" in cell:
         raise ParseError(f"malformed number {cell!r}", row=row, column=column)
@@ -237,6 +253,8 @@ def _parse_number(cell: str, row: int, column: str) -> float:
         raise ParseError(f"malformed number {cell!r}", row=row, column=column) from None
     if not math.isfinite(value):
         raise ParseError(f"non-finite number {cell!r}", row=row, column=column)
+    if nonnegative and value < 0:
+        raise ParseError(f"negative value {value!r}", row=row, column=column)
     return value
 
 
@@ -256,19 +274,45 @@ def _parse_year(cell: str, row: int) -> int:
     raise ParseError(f"malformed year {cell!r}", row=row, column="year")
 
 
-def _read_rows(reader) -> Iterator[list[str]]:
-    """Yield a csv reader's rows; undecodable or unreadable input is a ParseError."""
-    while True:
+def _stripped(cells: list[str]) -> list[str]:
+    """The cells without surrounding whitespace: the list itself if none holds any."""
+    joined = "".join(cells)
+    return cells if joined.split() == [joined] else list(map(str.strip, cells))
+
+
+def _converted(cells, convert) -> list | None:
+    """``convert`` of every cell; ``None`` if one is not ASCII, holds a ``_`` or fails."""
+    joined = "".join(cells)
+    if joined.isascii() and "_" not in joined:
         try:
-            cells = next(reader)
-        except StopIteration:
-            return
-        except UnicodeDecodeError as exc:
-            # Decoding runs ahead of the reader in blocks, so the row is unknown.
-            raise ParseError(f"input is not valid {exc.encoding}: {exc.reason}") from None
-        except csv.Error as exc:
-            raise ParseError(str(exc), row=reader.line_num) from None
-        yield cells
+            return list(map(convert, cells))
+        except ValueError:
+            pass
+    return None
+
+
+def _amounts(cells: list[str], nonnegative: bool, divisors: list[float]) -> tuple | None:
+    """Each amount over its row's divisor, ``None`` if blank; ``None`` if a cell is at fault."""
+    present = cells if "" not in cells else list(compress(cells, cells))
+    values = _converted(present, float)
+    # Signs are read before the division, which can round a tiny negative to -0.0.
+    if (values is None or not all(map(math.isfinite, values))
+            or nonnegative and min(values, default=0.0) < 0):
+        return None
+    if present is cells:
+        return tuple(map(truediv, values, divisors))
+    amounts = map(truediv, values, compress(divisors, cells))
+    return tuple(next(amounts) if cell else None for cell in cells)
+
+
+def _first_fault(cells, rows: list[int], position: int, check, *args):
+    """(index, ``position``, error) of the first cell ``check(cell, row, *args)`` rejects."""
+    for i, cell in enumerate(cells):
+        try:
+            check(cell, rows[i], *args)
+        except ParseError as exc:
+            return i, position, exc
+    raise AssertionError("a column that failed its check has no faulty cell")
 
 
 def parse_ledger(
@@ -288,16 +332,36 @@ def parse_ledger(
         ParseError: malformed number or year, unknown currency code, duplicate
             year, negative value in a non-negative item, missing required
             column, or undecodable or unreadable input, naming the offending
-            row and column where known.
+            row and column where known. Of several faults, the first in file
+            order is raised; within a row, a blank required cell comes first,
+            then the year, a repeated year, the currency and the amounts in
+            ``MONEY_ITEMS`` order.
     """
     try:
         reader = csv.reader(stream, delimiter=delimiter)
     except ValueError as exc:  # from Python 3.13 on: a line break or the quote
         raise ParseError(f"unusable delimiter {delimiter!r}: {exc}") from None
-    rows = _read_rows(reader)
-    header = next(rows, None)
+    # One loop reads the header and the cells of each data row that holds
+    # anything, into one list, up to the first row of the wrong width or
+    # reader error: ``stop``, raised only if no row before it is at fault.
+    header, cells_read, row_numbers, stop = None, [], [], None
+    try:
+        header = next(reader, None)
+        width = len(header or ())
+        for row_no, cells in enumerate(reader, start=2):
+            if "".join(cells).strip():
+                if len(cells) != width:
+                    stop = ParseError(f"expected {width} fields, found {len(cells)}", row=row_no)
+                    break
+                cells_read += cells
+                row_numbers.append(row_no)
+    except UnicodeDecodeError as exc:
+        # Decoding runs ahead of the reader in blocks, so the row is unknown.
+        stop = ParseError(f"input is not valid {exc.encoding}: {exc.reason}")
+    except csv.Error as exc:
+        stop = ParseError(str(exc), row=reader.line_num)
     if header is None:
-        raise ParseError("empty input: missing header row")
+        raise stop or ParseError("empty input: missing header row")
     if header:
         header[0] = header[0].removeprefix("\ufeff")
     header = [name.strip() for name in header]
@@ -311,58 +375,52 @@ def parse_ledger(
     for name in REQUIRED_COLUMNS:
         if name not in seen:
             raise ParseError(f"missing required column '{name}'", row=1)
+    if not row_numbers:
+        raise stop or ParseError("no data rows")
 
-    required = [(name, header.index(name)) for name in REQUIRED_COLUMNS]
-    year_at = header.index("year")
-    currency_at = header.index("currency")
-    money = [
-        (name, header.index(name), name in NONNEGATIVE_ITEMS)
-        for name in MONEY_ITEMS
-        if name in seen
-    ]
+    # Each column is checked whole, and walked for its first faulty cell only
+    # if that fails. The error raised is the fault at the lowest (row, position
+    # in a row's check order): the one a row-by-row parse meets first.
+    columns = {name: _stripped(cells_read[i::width]) for i, name in enumerate(header)}
+    faults = [] if stop is None else [(len(row_numbers), 0, stop)]
 
-    records: list[FiscalRecord] = []
-    years: set[int] = set()
-    for row_no, cells in enumerate(rows, start=2):
-        cells = [cell.strip() for cell in cells]
-        if not any(cells):
-            continue
-        if len(cells) != len(header):
-            raise ParseError(
-                f"expected {len(header)} fields, found {len(cells)}", row=row_no
-            )
+    def fault(i: int, position: int, message: str, column: str) -> None:
+        faults.append((i, position, ParseError(message, row=row_numbers[i], column=column)))
 
-        for name, at in required:
-            if not cells[at]:
-                raise ParseError("missing required value", row=row_no, column=name)
-        year = _parse_year(cells[year_at], row_no)
-        if year in years:
-            raise ParseError(f"duplicate year {year}", row=row_no, column="year")
-        years.add(year)
-        try:
-            currency = Currency(cells[currency_at])
-        except ValueError:
-            raise ParseError(
-                f"unknown currency code {cells[currency_at]!r}", row=row_no, column="currency"
-            ) from None
+    for position, name in enumerate(REQUIRED_COLUMNS):
+        if "" in columns[name]:
+            fault(columns[name].index(""), position, "missing required value", name)
+    years = _converted(columns["year"], int)
+    if years is None or min(years) < _MIN_YEAR or max(years) > _MAX_YEAR:
+        faults.append(_first_fault(columns["year"], row_numbers, 5, _parse_year))
+        years = list(map(int, columns["year"][:faults[-1][0]]))
+    if len(set(years)) < len(years):
+        first_at: dict[int, int] = {}
+        i = next(i for i, year in enumerate(years) if first_at.setdefault(year, i) != i)
+        fault(i, 6, f"duplicate year {years[i]}", "year")
+    codes = columns["currency"]
+    if not _DIVISORS.keys() >= set(codes):
+        i = next(i for i, code in enumerate(codes) if code not in _DIVISORS)
+        fault(i, 7, f"unknown currency code {codes[i]!r}", "currency")
+    # Lira amounts are divided by the rate, as normalize_currency does; euros by 1.0, exactly.
+    divisors = list(map(_DIVISORS.get, codes, repeat(1.0)))
+    amounts = {}
+    for position, name in enumerate(MONEY_ITEMS, start=8):
+        if name in columns:
+            nonnegative = name in NONNEGATIVE_ITEMS
+            amounts[name] = _amounts(columns[name], nonnegative, divisors)
+            if amounts[name] is None:
+                faults.append(_first_fault(columns[name], row_numbers, position,
+                                           _parse_number, name, nonnegative))
+    if faults:
+        raise min(faults)[2]
+    # Freed first: each garbage collection the records trigger would scan every cell.
+    del cells_read, columns
 
-        # Lira amounts are converted cell by cell, with the same division
-        # normalize_currency makes, so each row builds one euro record.
-        lire = currency is Currency.ITL
-        amounts: dict[str, float] = {}
-        for name, at, nonnegative in money:
-            cell = cells[at]
-            if not cell:
-                continue
-            value = _parse_number(cell, row_no, name)
-            if nonnegative and value < 0:
-                raise ParseError(f"negative value {value!r}", row=row_no, column=name)
-            amounts[name] = value / LIRE_PER_EURO if lire else value
-        records.append(FiscalRecord(year=year, currency=Currency.EUR, **amounts))
-
-    if not records:
-        raise ParseError("no data rows")
-    records.sort(key=lambda r: r.year)
+    absent = repeat(None)
+    records = list(map(FiscalRecord, years, repeat(Currency.EUR),
+                       *(amounts.get(field.name, absent) for field in fields(FiscalRecord)[2:])))
+    records.sort(key=attrgetter("year"))
     return LedgerSeries(organization, tuple(records))
 
 
@@ -385,16 +443,15 @@ def extract_series(ledger: LedgerSeries, item: str) -> Series:
     """
     if item not in _MONEY_ITEM_SET:
         raise DomainError(f"unknown item {item!r}")
-    records = ledger.records
-    if not records:
+    if not ledger.records:
         raise EmptyPeriodError("no records in period")
-    values = tuple(getattr(r, item) for r in records)
+    values = ledger.columns[item]
     if None in values:
-        missing = [r.year for r, value in zip(records, values) if value is None]
+        missing = [year for year, value in zip(ledger.years, values) if value is None]
         raise MissingDataError(
             f"'{item}' not reported for years: {', '.join(str(y) for y in missing)}"
         )
-    return Series(tuple(r.year for r in records), values)
+    return Series(ledger.years, values)
 
 
 def validate_ledger(ledger: LedgerSeries) -> list[ValidationFinding]:
@@ -403,37 +460,32 @@ def validate_ledger(ledger: LedgerSeries) -> list[ValidationFinding]:
     Findings cover personnel-decomposition mismatches beyond tolerance,
     negative values in non-negative items, and gaps in the year sequence.
     """
-    findings: list[ValidationFinding] = []
-    for record in ledger.records:
-        for name in NONNEGATIVE_ITEMS:
-            value = getattr(record, name)
-            if value is not None and value < 0:
-                findings.append(
-                    ValidationFinding(
-                        "negative_value", record.year, f"{name} is negative ({value!r})"
-                    )
-                )
-        components = [getattr(record, name) for name in PERSONNEL_COMPONENTS]
-        if None not in components:
-            # Left to right, as sum() did before Python 3.12 compensated it:
-            # the total is printed, so it must not change with the version.
-            total = 0.0
-            for component in components:
-                total += component
-            reference = record.cost_of_personnel
-            if abs(total - reference) > DECOMPOSITION_RTOL * abs(reference):
-                findings.append(
-                    ValidationFinding(
-                        "personnel_decomposition_mismatch",
-                        record.year,
-                        f"personnel components sum to {total!r}, "
-                        f"cost_of_personnel is {reference!r}",
-                    )
-                )
-    for prev, cur in zip(ledger.records, ledger.records[1:]):
-        if cur.year - prev.year > 1:
-            gap = ", ".join(str(y) for y in range(prev.year + 1, cur.year))
-            findings.append(
-                ValidationFinding("year_gap", prev.year, f"missing years: {gap}")
-            )
+    years, columns = ledger.years, ledger.columns
+    # (record index, check position, finding): sorted, record by record in check order.
+    found: list[tuple[int, int, ValidationFinding]] = []
+    for position, name in enumerate(NONNEGATIVE_ITEMS):
+        values = columns[name]
+        if any(map(gt, repeat(0.0), filter(None, values))):  # None and 0 are never negative
+            found += ((i, position, ValidationFinding(
+                "negative_value", years[i], f"{name} is negative ({value!r})"))
+                for i, value in enumerate(values) if value is not None and value < 0)
+    # Left to right from 0.0, as sum() did before Python 3.12 compensated it:
+    # the total is printed, so it must not change with the version. An
+    # unreported value is NaN here, and a NaN total or reference no mismatch.
+    nan_for_none = {None: math.nan}.get  # nan_for_none(v, v)
+    totals, reference = repeat(0.0), columns["cost_of_personnel"]
+    for name in PERSONNEL_COMPONENTS:
+        totals = map(add, totals, map(nan_for_none, columns[name], columns[name]))
+    totals, reference = list(totals), list(map(nan_for_none, reference, reference))
+    mismatched = map(gt, map(abs, map(sub, totals, reference)),
+                     map(mul, repeat(DECOMPOSITION_RTOL), map(abs, reference)))
+    found += ((i, len(NONNEGATIVE_ITEMS), ValidationFinding(
+        "personnel_decomposition_mismatch", years[i],
+        f"personnel components sum to {totals[i]!r}, cost_of_personnel is {reference[i]!r}"))
+        for i in compress(range(len(years)), mismatched))
+    findings = [finding for _, _, finding in sorted(found, key=itemgetter(0, 1))]
+    for prev, cur in zip(years, years[1:]):
+        if cur - prev > 1:
+            gap = ", ".join(str(y) for y in range(prev + 1, cur))
+            findings.append(ValidationFinding("year_gap", prev, f"missing years: {gap}"))
     return findings

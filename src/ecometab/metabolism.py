@@ -21,6 +21,8 @@ import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
+from itertools import compress, repeat
+from operator import gt, le, lt, mul, ne, sub, truediv
 
 from .errors import AlignmentError, DomainError, InsufficientDataError
 from .ledger import COST_ITEMS, LedgerSeries, Series, extract_series
@@ -102,7 +104,7 @@ def trend_fit(ledger: LedgerSeries, item: str) -> RegressionFit:
             of values near 1e306 does once its intercept is taken at year 0.
     """
     values = extract_series(ledger, item)
-    years = Series(values.years, tuple(float(y) for y in values.years))
+    years = Series(values.years, tuple(map(float, values.years)))
     try:
         return ols_fit(years, values)
     except DomainError:  # the one ols_fit raises on a year trend: an overflow
@@ -122,15 +124,16 @@ def metabolism_index(
     """
     num = extract_series(ledger, numerator)
     den = extract_series(ledger, denominator)
-    points = []
-    for year, n_value, d_value in zip(num.years, num.values, den.values):
+    if not any(map(le, den.values, repeat(0.0))):
+        shares = list(map(truediv, map(mul, repeat(100.0), num.values), den.values))
+        if all(map(math.isfinite, shares)):
+            return tuple(map(MetabolismPoint, num.years, shares))
+    for year, n_value, d_value in zip(num.years, num.values, den.values):  # name the year
         if d_value <= 0:
             raise DomainError(f"{denominator} is not positive in {year}")
-        share = 100.0 * n_value / d_value
-        if not math.isfinite(share):
+        if not math.isfinite(100.0 * n_value / d_value):
             raise DomainError(f"share of {numerator} in {denominator} is not finite in {year}")
-        points.append(MetabolismPoint(year, share))
-    return tuple(points)
+    raise AssertionError("a share that failed its column check is at fault in no year")
 
 
 def arithmetic_growth(series: Series, start: int, end: int) -> GrowthRate:
@@ -203,12 +206,12 @@ def allometric_fit(
     dep = extract_series(ledger, dependent_item)
     exp_ = extract_series(ledger, explanatory_item)
     for series, item in ((dep, dependent_item), (exp_, explanatory_item)):
-        for year, value in series.items():
-            if value <= 0:
-                raise DomainError(f"{item} is not positive in {year}; log-log fit impossible")
+        if any(map(le, series.values, repeat(0.0))):
+            year = next(year for year, value in series.items() if value <= 0)
+            raise DomainError(f"{item} is not positive in {year}; log-log fit impossible")
     fit = ols_fit(
-        Series(exp_.years, tuple(math.log(v) for v in exp_.values)),
-        Series(dep.years, tuple(math.log(v) for v in dep.values)),
+        Series(exp_.years, tuple(map(math.log, exp_.values))),
+        Series(dep.years, tuple(map(math.log, dep.values))),
     )
     return AllometricFit(
         log_prefactor=fit.intercept,
@@ -225,14 +228,6 @@ def allometric_fit(
     )
 
 
-def _sign(value: float) -> int:
-    if value > 0:
-        return 1
-    if value < 0:
-        return -1
-    return 0
-
-
 def crossover_years(a: Series, b: Series) -> tuple[Crossing, ...]:
     """Find where series a and b trade places (sign changes of a - b).
 
@@ -244,12 +239,11 @@ def crossover_years(a: Series, b: Series) -> tuple[Crossing, ...]:
         raise AlignmentError("series must share the same years")
     if len(a) < 2:
         raise InsufficientDataError("crossover detection needs at least 2 points")
-    diffs = [av - bv for av, bv in zip(a.values, b.values)]
+    diffs = list(map(sub, a.values, b.values))
+    # Each difference's sign: 1, -1 or 0 (also for NaN); a crossing is where it changes.
+    signs = list(map(sub, map(gt, diffs, repeat(0.0)), map(lt, diffs, repeat(0.0))))
     crossings: list[Crossing] = []
-    for i in range(len(diffs) - 1):
-        s0, s1 = _sign(diffs[i]), _sign(diffs[i + 1])
-        if s0 == s1:
-            continue
+    for i in compress(range(len(diffs) - 1), map(ne, signs, signs[1:])):
         y0, y1 = a.years[i], a.years[i + 1]
         # Where a difference overflows, a quarter of each value keeps it
         # finite; a power of two scales the interpolation's ratio exactly.
@@ -265,14 +259,13 @@ def crossover_years(a: Series, b: Series) -> tuple[Crossing, ...]:
 
 def mean_cost_profile(ledger: LedgerSeries) -> CostProfile:
     """Descriptives of every cost item reported in all of the ledger's records."""
-    records = ledger.records
-    if not records:
+    if not ledger.records:
         raise InsufficientDataError("no records in the requested period")
     by_item: dict[str, Descriptives] = {}
     omitted: list[str] = []
     for item in COST_ITEMS:
-        values = [getattr(r, item) for r in records]
-        if any(v is None for v in values):
+        values = ledger.columns[item]
+        if None in values:
             omitted.append(item)
             continue
         by_item[item] = descriptives(values)

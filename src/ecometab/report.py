@@ -12,6 +12,7 @@ import os
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter
 
 from .errors import DomainError, EcometabError
 from .ledger import (
@@ -158,7 +159,7 @@ def growth_over(ledger: LedgerSeries, item: str) -> GrowthRate:
 
 
 def share_series(points: tuple[MetabolismPoint, ...]) -> Series:
-    return Series(tuple(p.year for p in points), tuple(p.share_percent for p in points))
+    return Series(*(tuple(map(attrgetter(name), points)) for name in ("year", "share_percent")))
 
 
 def run_report(config: ReportConfig) -> Report:

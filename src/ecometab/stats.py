@@ -16,6 +16,8 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import repeat
+from operator import mul, sub
 
 from .errors import (
     AlignmentError,
@@ -105,7 +107,7 @@ def descriptives(values: Sequence[float]) -> Descriptives:
     minimum = min(values)
     maximum = max(values)
     k = _scale_exponent(minimum, maximum)
-    scaled = [math.ldexp(v, -k) for v in values]
+    scaled = list(map(math.ldexp, values, repeat(-k)))
     # fsum/n can land an ulp outside [min, max]; the true mean never does.
     mean = min(max(math.fsum(scaled) / n, math.ldexp(minimum, -k)), math.ldexp(maximum, -k))
     if n == 1:
@@ -113,7 +115,8 @@ def descriptives(values: Sequence[float]) -> Descriptives:
     else:
         # d * d, not d ** 2: C pow need not round correctly, and the product's
         # exact rounding keeps sd exactly proportional to power-of-two scaling.
-        sd = math.sqrt(math.fsum(d * d for d in (v - mean for v in scaled)) / (n - 1))
+        deviations = list(map(sub, scaled, repeat(mean)))
+        sd = math.sqrt(math.fsum(map(mul, deviations, deviations)) / (n - 1))
     return Descriptives(n=n, mean=math.ldexp(mean, k), sd=math.ldexp(sd, k), minimum=minimum, maximum=maximum)
 
 
@@ -333,30 +336,31 @@ def ols_fit(x: Series, y: Series) -> RegressionFit:
         raise InsufficientDataError(f"ols_fit needs at least 3 points, got {n}")
     # Fit y times 2^-k on x times 2^-h, whose values all lie in (-1, 1), and
     # scale back: the levels by 2^k, the slope and its se by 2^(k-h).
-    k = _scale_exponent(min(y.values), max(y.values))
+    y_min, y_max = min(y.values), max(y.values)
+    k = _scale_exponent(y_min, y_max)
     h = _scale_exponent(min(x.values), max(x.values))
-    xs = [math.ldexp(v, -h) for v in x.values]
-    ys = [math.ldexp(v, -k) for v in y.values]
+    xs = list(map(math.ldexp, x.values, repeat(-h)))
+    ys = list(map(math.ldexp, y.values, repeat(-k)))
     x_mean = math.fsum(xs) / n
     y_mean = math.fsum(ys) / n
-    dx = [v - x_mean for v in xs]
-    dy = [v - y_mean for v in ys]
-    sxx = math.fsum(d * d for d in dx)
+    dx = list(map(sub, xs, repeat(x_mean)))
+    dy = list(map(sub, ys, repeat(y_mean)))
+    sxx = math.fsum(map(mul, dx, dx))
     if sxx == 0.0:
         raise DegenerateRegressorError("explanatory variable is constant")
-    syy = math.fsum(d * d for d in dy)
+    syy = math.fsum(map(mul, dy, dy))
     df = n - 2
 
     # A constant response has slope zero with certainty: no signal to explain.
-    degenerate = min(ys) == max(ys)
+    degenerate = y_min == y_max  # exact scaling keeps y's extremes where they are
     if degenerate:
         slope, intercept, residuals = 0.0, y_mean, tuple(dy)
     else:
-        sxy = math.fsum(a * b for a, b in zip(dx, dy))
+        sxy = math.fsum(map(mul, dx, dy))
         slope = sxy / sxx
         intercept = y_mean - slope * x_mean
-        residuals = tuple(b - slope * a for a, b in zip(dx, dy))
-    sse = math.fsum(r * r for r in residuals)
+        residuals = tuple(map(sub, dy, map(mul, repeat(slope), dx)))
+    sse = math.fsum(map(mul, residuals, residuals))
     exact_fit = not degenerate and sse <= _EXACT_FIT_RSS_FRACTION * syy
 
     if exact_fit:
@@ -387,7 +391,7 @@ def ols_fit(x: Series, y: Series) -> RegressionFit:
             f_statistic=f_stat,
             p_slope=p_slope,
             p_f=p_slope,
-            residuals=tuple(math.ldexp(e, k) for e in residuals),
+            residuals=tuple(map(math.ldexp, residuals, repeat(k))),
             degenerate=degenerate,
             exact_fit=exact_fit,
         )

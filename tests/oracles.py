@@ -3,10 +3,29 @@
 None of these share code with the library: tail probabilities come from
 adaptive Simpson quadrature of the densities, regression coefficients from
 direct grid refinement of the residual sum of squares, and moments from
-plain two-pass summation.
+plain two-pass summation. The ledger parser checks a file row by row, the
+reference for the library's column-at-a-time parser; it shares the
+library's data types and column lists, not its parsing code.
 """
 
+import csv
+import io
 import math
+from collections.abc import Iterator
+
+from ecometab.errors import ParseError
+from ecometab.ledger import (
+    COLUMNS,
+    LIRE_PER_EURO,
+    MONEY_ITEMS,
+    NONNEGATIVE_ITEMS,
+    REQUIRED_COLUMNS,
+    Currency,
+    FiscalRecord,
+    LedgerSeries,
+)
+
+_MIN_YEAR, _MAX_YEAR = 1, 9999
 
 
 def adaptive_simpson(f, a, b, tol=1e-12):
@@ -164,3 +183,147 @@ def brute_force_crossings(years, deltas):
             continue
         found.append(at)
     return found
+
+
+# ---------------------------------------------------------------------------
+# Row-at-a-time ledger parser, the reference of the differential parse test:
+# it checks each row in full before reading the next, so its first error is
+# the first fault in file order, and within a row the first in check order.
+
+def _parse_number(cell: str, row: int, column: str) -> float:
+    # float() also takes "1_000" and non-ASCII digits; the file format does not.
+    if not cell.isascii() or "_" in cell:
+        raise ParseError(f"malformed number {cell!r}", row=row, column=column)
+    try:
+        value = float(cell)
+    except ValueError:
+        raise ParseError(f"malformed number {cell!r}", row=row, column=column) from None
+    if not math.isfinite(value):
+        raise ParseError(f"non-finite number {cell!r}", row=row, column=column)
+    return value
+
+
+def _parse_year(cell: str, row: int) -> int:
+    # int() also takes "1_997" and non-ASCII digits; the file format does not.
+    if cell.isascii() and "_" not in cell:
+        try:
+            year = int(cell)
+        except ValueError:
+            pass
+        else:
+            if _MIN_YEAR <= year <= _MAX_YEAR:
+                return year
+            raise ParseError(
+                f"year {cell!r} outside {_MIN_YEAR}-{_MAX_YEAR}", row=row, column="year"
+            )
+    raise ParseError(f"malformed year {cell!r}", row=row, column="year")
+
+
+def _read_rows(reader) -> Iterator[list[str]]:
+    """Yield a csv reader's rows; undecodable or unreadable input is a ParseError."""
+    while True:
+        try:
+            cells = next(reader)
+        except StopIteration:
+            return
+        except UnicodeDecodeError as exc:
+            # Decoding runs ahead of the reader in blocks, so the row is unknown.
+            raise ParseError(f"input is not valid {exc.encoding}: {exc.reason}") from None
+        except csv.Error as exc:
+            raise ParseError(str(exc), row=reader.line_num) from None
+        yield cells
+
+
+def row_parse_ledger(
+    stream: io.TextIOBase, organization: str = "", delimiter: str = ","
+) -> LedgerSeries:
+    """Parse a delimited income-statement file into a euro-normalized ledger.
+
+    Args:
+        stream: text stream with a header row followed by one row per year.
+        organization: label stored on the resulting series.
+        delimiter: field separator (comma by default).
+
+    Returns:
+        A ``LedgerSeries`` sorted by year with every record converted to EUR.
+
+    Raises:
+        ParseError: malformed number or year, unknown currency code, duplicate
+            year, negative value in a non-negative item, missing required
+            column, or undecodable or unreadable input, naming the offending
+            row and column where known.
+    """
+    try:
+        reader = csv.reader(stream, delimiter=delimiter)
+    except ValueError as exc:  # from Python 3.13 on: a line break or the quote
+        raise ParseError(f"unusable delimiter {delimiter!r}: {exc}") from None
+    rows = _read_rows(reader)
+    header = next(rows, None)
+    if header is None:
+        raise ParseError("empty input: missing header row")
+    if header:
+        header[0] = header[0].removeprefix("\ufeff")
+    header = [name.strip() for name in header]
+    seen: set[str] = set()
+    for name in header:
+        if name not in COLUMNS:
+            raise ParseError(f"unknown column {name!r}", row=1)
+        if name in seen:
+            raise ParseError(f"duplicate column '{name}'", row=1)
+        seen.add(name)
+    for name in REQUIRED_COLUMNS:
+        if name not in seen:
+            raise ParseError(f"missing required column '{name}'", row=1)
+
+    required = [(name, header.index(name)) for name in REQUIRED_COLUMNS]
+    year_at = header.index("year")
+    currency_at = header.index("currency")
+    money = [
+        (name, header.index(name), name in NONNEGATIVE_ITEMS)
+        for name in MONEY_ITEMS
+        if name in seen
+    ]
+
+    records: list[FiscalRecord] = []
+    years: set[int] = set()
+    for row_no, cells in enumerate(rows, start=2):
+        cells = [cell.strip() for cell in cells]
+        if not any(cells):
+            continue
+        if len(cells) != len(header):
+            raise ParseError(
+                f"expected {len(header)} fields, found {len(cells)}", row=row_no
+            )
+
+        for name, at in required:
+            if not cells[at]:
+                raise ParseError("missing required value", row=row_no, column=name)
+        year = _parse_year(cells[year_at], row_no)
+        if year in years:
+            raise ParseError(f"duplicate year {year}", row=row_no, column="year")
+        years.add(year)
+        try:
+            currency = Currency(cells[currency_at])
+        except ValueError:
+            raise ParseError(
+                f"unknown currency code {cells[currency_at]!r}", row=row_no, column="currency"
+            ) from None
+
+        # Lira amounts are converted cell by cell, with the same division
+        # normalize_currency makes, so each row builds one euro record.
+        lire = currency is Currency.ITL
+        amounts: dict[str, float] = {}
+        for name, at, nonnegative in money:
+            cell = cells[at]
+            if not cell:
+                continue
+            value = _parse_number(cell, row_no, name)
+            if nonnegative and value < 0:
+                raise ParseError(f"negative value {value!r}", row=row_no, column=name)
+            amounts[name] = value / LIRE_PER_EURO if lire else value
+        records.append(FiscalRecord(year=year, currency=Currency.EUR, **amounts))
+
+    if not records:
+        raise ParseError("no data rows")
+    records.sort(key=lambda r: r.year)
+    return LedgerSeries(organization, tuple(records))

@@ -228,6 +228,26 @@ class TestReportText:
         assert max(map(len, checks)) < 100
         assert err == ""
 
+    @pytest.mark.parametrize("case", ["report", "report_services", "growth"])
+    def test_huge_levels_keep_text_lines_short(self, tmp_path, capsys, case):
+        # Levels near 1e299, and a growth rate near 1e297, print in exponent
+        # form: in fixed point each would take over 300 digits.
+        records = list(random_ledger(seed=21).records)
+        if case == "growth":
+            records[-1] = dataclasses.replace(records[-1], total_revenue=1.7e308)
+            argv = ["growth"]
+        else:
+            records = [dataclasses.replace(r, **{item: getattr(r, item) * 1e290 for item in (
+                "total_revenue", "cost_of_personnel", "total_cost", "other_costs")})
+                for r in records]
+            records[0] = dataclasses.replace(records[0], services=1e-290)
+            argv = ["report", *(["--numerator", "services"] if case == "report_services" else [])]
+        path = write_ledger_file(tmp_path / "ledger.csv", ledger_of(records))
+        assert main([*argv, "--input", str(path)]) == 0
+        out, err = capsys.readouterr()
+        assert max(map(len, out.splitlines())) <= 200
+        assert err == ""
+
     def test_rendering_leaves_every_section_as_it_was(self, tmp_path):
         # The emitters hand each result's own __dict__ to the encoder, not a copy;
         # the sections are cached properties, so dataclasses.asdict(report) misses them.

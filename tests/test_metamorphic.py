@@ -5,11 +5,17 @@ no meaning: the parser sorts records by year and skips rows whose cells are
 all empty. So every command, in every format, must print the same bytes
 and exit with the same code on a shuffled copy with blank lines inserted,
 and ``figures`` must write the same files.
+
+Rows outside the analysis window feed only the validation section, which
+covers the whole file, and the record count in the text report's header.
+Adding them changes nothing else that any command prints or writes; it also
+takes the window from the ledger itself to a filtered copy.
 """
 
 import contextlib
 import io
 import random
+import re
 import tempfile
 from pathlib import Path
 
@@ -17,7 +23,7 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from ecometab.cli import main
-from ecometab.ledger import MONEY_ITEMS
+from ecometab.ledger import MONEY_ITEMS, LedgerSeries
 from helpers import VARIANT_KINDS, lira_text, variant_ledger
 
 COMMANDS = ("report", "trend", "metabolism", "growth", "allometric", "crossover", "validate")
@@ -83,3 +89,55 @@ def test_row_order_and_blank_lines_change_no_output(seed, kind, shuffle_seed, bl
             directory.mkdir()
             (directory / "ledger.csv").write_text(content, encoding="utf-8")
         assert _outputs(original, options, items) == _outputs(changed, options, items)
+
+
+def _outside_the_validation(runs):
+    """The outputs with the validation section and the text header's record count cut out."""
+    runs = dict(runs)
+    for output_format in FORMATS:
+        del runs[("validate", output_format)]
+    cuts = {
+        "json": lambda out: out.partition('\n  "validation": ')[0],
+        "csv": lambda out: re.sub(r"(?m)^validation,.*\n", "", out),
+        "text": lambda out: re.sub(r"^(Ledger: .* \()\d+ records", r"\1N records",
+                                   re.sub(r"\nValidation findings\n(  .*\n)*", "", out)),
+    }
+    for output_format, cut in cuts.items():
+        code, out, err = runs[("report", output_format)]
+        runs[("report", output_format)] = code, cut(out), err
+    return runs
+
+
+@settings(max_examples=10, deadline=None, derandomize=True, database=None,
+          phases=(Phase.explicit, Phase.generate))
+@given(
+    seed=st.integers(0, 10_000),
+    kind=st.sampled_from(VARIANT_KINDS),
+    window=st.lists(st.integers(1992, 2015), min_size=2, max_size=2, unique=True).map(sorted),
+    outside=st.lists(st.integers(0, 5), min_size=1, max_size=4, unique=True),
+    options=st.sampled_from([
+        [],
+        ["--numerator", "services", "--denominator", "total_cost", "--alpha", "0.2"],
+    ]),
+    items=st.lists(st.sampled_from(MONEY_ITEMS), max_size=3),
+)
+def test_rows_outside_the_window_change_only_the_validation(seed, kind, window, outside,
+                                                          options, items):
+    ledger = variant_ledger(seed, kind, n_years=30, first_year=1989)
+    start, end = window
+    inside = [r for r in ledger.records if start <= r.year <= end]
+    # The years 1989-1991 and 2016-2018 lie outside every window drawn.
+    others = [r for r in ledger.records if not 1992 <= r.year <= 2015]
+    wider = sorted(inside + [others[i] for i in outside if i < len(others)],
+                   key=lambda r: r.year)
+    options = ["--from", str(start), "--to", str(end), *options]
+    items = [flag for item in items for flag in ("--item", item)]
+    with tempfile.TemporaryDirectory() as tmp:
+        runs = []
+        for name, records in (("window", inside), ("wider", wider)):
+            directory = Path(tmp, name)
+            directory.mkdir()
+            text = lira_text(LedgerSeries(ledger.organization, tuple(records)))
+            (directory / "ledger.csv").write_text(text, encoding="utf-8")
+            runs.append(_outside_the_validation(_outputs(directory, options, items)))
+        assert runs[0] == runs[1]
