@@ -20,7 +20,7 @@ import os
 import sys
 from collections.abc import Mapping
 from itertools import chain, repeat
-from operator import attrgetter, itemgetter
+from operator import attrgetter, ge, itemgetter
 
 from .errors import DomainError, EcometabError
 from .ledger import (
@@ -300,10 +300,13 @@ def _render_allometric_text(fit: AllometricFit, dependent: str, explanatory: str
 
 
 def _render_shares_text(columns: list[tuple[str, tuple[MetabolismPoint, ...]]]) -> str:
-    """A year column, then one named column of shares per series over the same years."""
-    years = ["year", *map(str, map(_YEAR, columns[0][1]))]
-    shares = ([name, *map(format, map(_SHARE, points), repeat(".2f"))] for name, points in columns)
-    return _columns(years, *shares) + "\n"
+    """A year column, then a named column of shares per series, as ``_number_text`` to 2 places."""
+    years, texts = ["year", *map(str, map(_YEAR, columns[0][1]))], []
+    for name, points in columns:
+        shares = list(map(_SHARE, points))
+        specs = map((".2f", ".2e").__getitem__, map(ge, map(abs, shares), repeat(1e15)))
+        texts.append([name, *map(format, shares, specs)])
+    return _columns(years, *texts) + "\n"
 
 
 def _render_crossings_text(crossings: tuple[Crossing, ...]) -> str:

@@ -16,8 +16,8 @@ digit grouping. Years run from 1 to 9999. A leading UTF-8 byte-order mark
 is ignored.
 
 Parsing is column-at-a-time: the rows are read once, and each column is
-checked and converted whole by C-level built-ins; only a column that fails
-is walked cell by cell, and of all faults the first in file order is raised.
+checked and converted whole by C-level built-ins; only a file that fails a
+check is walked row by row, and of all faults the first in file order is raised.
 All types here are immutable after construction and safe to share across
 threads; parsing is single-threaded per stream.
 """
@@ -32,7 +32,7 @@ from dataclasses import dataclass, fields, replace
 from enum import Enum
 from functools import cached_property
 from itertools import compress, repeat
-from operator import add, attrgetter, gt, itemgetter, lt, mul, ne, sub, truediv
+from operator import add, attrgetter, gt, lt, mul, ne, sub, truediv
 
 from .errors import DomainError, EmptyPeriodError, MissingDataError, ParseError
 
@@ -305,14 +305,25 @@ def _amounts(cells: list[str], nonnegative: bool, divisors: list[float]) -> tupl
     return tuple(next(amounts) if cell else None for cell in cells)
 
 
-def _first_fault(cells, rows: list[int], position: int, check, *args):
-    """(index, ``position``, error) of the first cell ``check(cell, row, *args)`` rejects."""
-    for i, cell in enumerate(cells):
-        try:
-            check(cell, rows[i], *args)
-        except ParseError as exc:
-            return i, position, exc
-    raise AssertionError("a column that failed its check has no faulty cell")
+def _raise_first_fault(columns: dict[str, list[str]], rows: list[int],
+                       stop: ParseError | None) -> None:
+    """Raise the fault a row-by-row parse meets first; ``stop`` if no row read is at fault."""
+    seen: set[int] = set()
+    for i, row in enumerate(rows):
+        for name in REQUIRED_COLUMNS:
+            if not columns[name][i]:
+                raise ParseError("missing required value", row=row, column=name)
+        year = _parse_year(columns["year"][i], row)
+        if year in seen:
+            raise ParseError(f"duplicate year {year}", row=row, column="year")
+        seen.add(year)
+        code = columns["currency"][i]
+        if code not in _DIVISORS:
+            raise ParseError(f"unknown currency code {code!r}", row=row, column="currency")
+        for name in MONEY_ITEMS:
+            if name in columns:
+                _parse_number(columns[name][i], row, name, name in NONNEGATIVE_ITEMS)
+    raise stop or AssertionError("a file that failed its column checks is at fault in no row")
 
 
 def parse_ledger(
@@ -378,42 +389,19 @@ def parse_ledger(
     if not row_numbers:
         raise stop or ParseError("no data rows")
 
-    # Each column is checked whole, and walked for its first faulty cell only
-    # if that fails. The error raised is the fault at the lowest (row, position
-    # in a row's check order): the one a row-by-row parse meets first.
+    # Each column is checked whole; only a file that fails a check is walked
+    # row by row, for the fault a row-by-row parse meets first.
     columns = {name: _stripped(cells_read[i::width]) for i, name in enumerate(header)}
-    faults = [] if stop is None else [(len(row_numbers), 0, stop)]
-
-    def fault(i: int, position: int, message: str, column: str) -> None:
-        faults.append((i, position, ParseError(message, row=row_numbers[i], column=column)))
-
-    for position, name in enumerate(REQUIRED_COLUMNS):
-        if "" in columns[name]:
-            fault(columns[name].index(""), position, "missing required value", name)
-    years = _converted(columns["year"], int)
-    if years is None or min(years) < _MIN_YEAR or max(years) > _MAX_YEAR:
-        faults.append(_first_fault(columns["year"], row_numbers, 5, _parse_year))
-        years = list(map(int, columns["year"][:faults[-1][0]]))
-    if len(set(years)) < len(years):
-        first_at: dict[int, int] = {}
-        i = next(i for i, year in enumerate(years) if first_at.setdefault(year, i) != i)
-        fault(i, 6, f"duplicate year {years[i]}", "year")
-    codes = columns["currency"]
-    if not _DIVISORS.keys() >= set(codes):
-        i = next(i for i, code in enumerate(codes) if code not in _DIVISORS)
-        fault(i, 7, f"unknown currency code {codes[i]!r}", "currency")
+    years, codes = _converted(columns["year"], int), columns["currency"]
     # Lira amounts are divided by the rate, as normalize_currency does; euros by 1.0, exactly.
     divisors = list(map(_DIVISORS.get, codes, repeat(1.0)))
-    amounts = {}
-    for position, name in enumerate(MONEY_ITEMS, start=8):
-        if name in columns:
-            nonnegative = name in NONNEGATIVE_ITEMS
-            amounts[name] = _amounts(columns[name], nonnegative, divisors)
-            if amounts[name] is None:
-                faults.append(_first_fault(columns[name], row_numbers, position,
-                                           _parse_number, name, nonnegative))
-    if faults:
-        raise min(faults)[2]
+    amounts = {name: _amounts(columns[name], name in NONNEGATIVE_ITEMS, divisors)
+               for name in MONEY_ITEMS if name in columns}
+    if (stop or any("" in columns[name] for name in REQUIRED_COLUMNS)
+            or years is None or min(years) < _MIN_YEAR or max(years) > _MAX_YEAR
+            or len(set(years)) < len(years) or not _DIVISORS.keys() >= set(codes)
+            or None in amounts.values()):
+        _raise_first_fault(columns, row_numbers, stop)
     # Freed first: each garbage collection the records trigger would scan every cell.
     del cells_read, columns
 
@@ -461,14 +449,8 @@ def validate_ledger(ledger: LedgerSeries) -> list[ValidationFinding]:
     negative values in non-negative items, and gaps in the year sequence.
     """
     years, columns = ledger.years, ledger.columns
-    # (record index, check position, finding): sorted, record by record in check order.
-    found: list[tuple[int, int, ValidationFinding]] = []
-    for position, name in enumerate(NONNEGATIVE_ITEMS):
-        values = columns[name]
-        if any(map(gt, repeat(0.0), filter(None, values))):  # None and 0 are never negative
-            found += ((i, position, ValidationFinding(
-                "negative_value", years[i], f"{name} is negative ({value!r})"))
-                for i, value in enumerate(values) if value is not None and value < 0)
+    negative = [name for name in NONNEGATIVE_ITEMS  # None and 0 are never negative
+                if any(map(gt, repeat(0.0), filter(None, columns[name])))]
     # Left to right from 0.0, as sum() did before Python 3.12 compensated it:
     # the total is printed, so it must not change with the version. An
     # unreported value is NaN here, and a NaN total or reference no mismatch.
@@ -477,13 +459,21 @@ def validate_ledger(ledger: LedgerSeries) -> list[ValidationFinding]:
     for name in PERSONNEL_COMPONENTS:
         totals = map(add, totals, map(nan_for_none, columns[name], columns[name]))
     totals, reference = list(totals), list(map(nan_for_none, reference, reference))
-    mismatched = map(gt, map(abs, map(sub, totals, reference)),
-                     map(mul, repeat(DECOMPOSITION_RTOL), map(abs, reference)))
-    found += ((i, len(NONNEGATIVE_ITEMS), ValidationFinding(
-        "personnel_decomposition_mismatch", years[i],
-        f"personnel components sum to {totals[i]!r}, cost_of_personnel is {reference[i]!r}"))
-        for i in compress(range(len(years)), mismatched))
-    findings = [finding for _, _, finding in sorted(found, key=itemgetter(0, 1))]
+    mismatched = list(map(gt, map(abs, map(sub, totals, reference)),
+                          map(mul, repeat(DECOMPOSITION_RTOL), map(abs, reference))))
+    findings = []
+    if negative or any(mismatched):  # record by record, each in check order
+        for i, year in enumerate(years):
+            for name in negative:
+                value = columns[name][i]
+                if value is not None and value < 0:
+                    findings.append(ValidationFinding(
+                        "negative_value", year, f"{name} is negative ({value!r})"))
+            if mismatched[i]:
+                findings.append(ValidationFinding(
+                    "personnel_decomposition_mismatch", year,
+                    f"personnel components sum to {totals[i]!r}, "
+                    f"cost_of_personnel is {reference[i]!r}"))
     for prev, cur in zip(years, years[1:]):
         if cur - prev > 1:
             gap = ", ".join(str(y) for y in range(prev + 1, cur))

@@ -4,8 +4,9 @@ None of these share code with the library: tail probabilities come from
 adaptive Simpson quadrature of the densities, regression coefficients from
 direct grid refinement of the residual sum of squares, and moments from
 plain two-pass summation. The ledger parser checks a file row by row, the
-reference for the library's column-at-a-time parser; it shares the
-library's data types and column lists, not its parsing code.
+reference for the library's column-at-a-time parser, and the validation
+checks a ledger record by record; both share the library's data types,
+column lists and tolerance, not its parsing or checking code.
 """
 
 import csv
@@ -16,13 +17,16 @@ from collections.abc import Iterator
 from ecometab.errors import ParseError
 from ecometab.ledger import (
     COLUMNS,
+    DECOMPOSITION_RTOL,
     LIRE_PER_EURO,
     MONEY_ITEMS,
     NONNEGATIVE_ITEMS,
+    PERSONNEL_COMPONENTS,
     REQUIRED_COLUMNS,
     Currency,
     FiscalRecord,
     LedgerSeries,
+    ValidationFinding,
 )
 
 _MIN_YEAR, _MAX_YEAR = 1, 9999
@@ -327,3 +331,36 @@ def row_parse_ledger(
         raise ParseError("no data rows")
     records.sort(key=lambda r: r.year)
     return LedgerSeries(organization, tuple(records))
+
+
+# ---------------------------------------------------------------------------
+# Record-at-a-time validation, the reference of the differential validation
+# test: each record's negative items in column order, then its personnel
+# decomposition; the gaps between years after every record.
+
+def row_validate_ledger(ledger: LedgerSeries) -> list[ValidationFinding]:
+    """The soft findings of ``validate_ledger``, checked one record at a time."""
+    findings = []
+    for rec in ledger.records:
+        for name in NONNEGATIVE_ITEMS:
+            value = getattr(rec, name)
+            if value is not None and value < 0:
+                findings.append(ValidationFinding(
+                    "negative_value", rec.year, f"{name} is negative ({value!r})"))
+        components = [getattr(rec, name) for name in PERSONNEL_COMPONENTS]
+        reference = rec.cost_of_personnel
+        if None in components or reference is None:
+            continue
+        total = 0.0
+        for value in components:  # left to right, uncompensated
+            total = total + value
+        if abs(total - reference) > DECOMPOSITION_RTOL * abs(reference):
+            findings.append(ValidationFinding(
+                "personnel_decomposition_mismatch", rec.year,
+                f"personnel components sum to {total!r}, cost_of_personnel is {reference!r}"))
+    for prev, cur in zip(ledger.records, ledger.records[1:]):
+        missing = list(range(prev.year + 1, cur.year))
+        if missing:
+            findings.append(ValidationFinding(
+                "year_gap", prev.year, "missing years: " + ", ".join(map(str, missing))))
+    return findings

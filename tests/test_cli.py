@@ -228,14 +228,20 @@ class TestReportText:
         assert max(map(len, checks)) < 100
         assert err == ""
 
-    @pytest.mark.parametrize("case", ["report", "report_services", "growth"])
+    @pytest.mark.parametrize("case", ["report", "report_services", "growth",
+                                      "report_shares", "metabolism_shares"])
     def test_huge_levels_keep_text_lines_short(self, tmp_path, capsys, case):
-        # Levels near 1e299, and a growth rate near 1e297, print in exponent
-        # form: in fixed point each would take over 300 digits.
+        # Levels near 1e299, a growth rate near 1e297 and shares near 1e193
+        # percent print in exponent form: in fixed point each would take
+        # about 200 digits or more.
         records = list(random_ledger(seed=21).records)
         if case == "growth":
             records[-1] = dataclasses.replace(records[-1], total_revenue=1.7e308)
             argv = ["growth"]
+        elif case.endswith("_shares"):
+            records = [dataclasses.replace(r, services=1e200) for r in records]
+            argv = (["report", "--numerator", "services", "--denominator", "total_cost"]
+                    if case == "report_shares" else ["metabolism", "--numerator", "services"])
         else:
             records = [dataclasses.replace(r, **{item: getattr(r, item) * 1e290 for item in (
                 "total_revenue", "cost_of_personnel", "total_cost", "other_costs")})

@@ -1,8 +1,8 @@
 """Differential test of ``parse_ledger`` against the row-at-a-time oracle.
 
-``parse_ledger`` checks a file one column at a time and walks a column only
-when its check fails; ``oracles.row_parse_ledger`` checks it row by row, in
-each row's check order. On near-valid lira/euro ledgers with up to three
+``parse_ledger`` checks a file one column at a time and walks its rows only
+when a column check fails; ``oracles.row_parse_ledger`` checks it row by row,
+in each row's check order. On near-valid lira/euro ledgers with up to three
 planted faults, the two must return the same records bit for bit, or raise a
 ``ParseError`` with the same text: the first fault in file order.
 """
