@@ -2,11 +2,12 @@
 
 Every subcommand reads one ``Report`` (``report.py``): ``report`` and
 ``figures`` every section, the others only their own, whose analyses alone
-run and name themselves in an error. A subcommand's JSON and CSV are its
-section of the full report's. Text tables are a pure view; JSON carries
-every number at full precision, so display rounding never feeds back into
-computation. Output is deterministic: the same input file and configuration
-produce byte-identical results. Figure files are all-or-nothing.
+run and name themselves in an error. Each section is defined once, in
+``_SECTIONS``: its JSON, CSV and text, in the full report and as its own
+subcommand. Text tables are a pure view; JSON carries every number at full
+precision, so display rounding never feeds back into computation. Output is
+deterministic: the same input file and configuration produce byte-identical
+results. Figure files are all-or-nothing.
 """
 
 from __future__ import annotations
@@ -183,10 +184,6 @@ def _csv(header: list[str], *blocks) -> str:
     return buffer.getvalue()
 
 
-# Section emitters: the full report passes its section (and item) as the
-# row prefix; a subcommand's JSON and CSV are the same sections without it.
-
-
 def _field_rows(result, *prefix: str):
     """A result's ``[*prefix, field, value]`` rows at full precision, residuals left out."""
     return (
@@ -206,18 +203,6 @@ def _table_rows(table: Mapping, *prefix: str):
 
 def _share_rows(points: tuple[MetabolismPoint, ...], *prefix: str):
     return zip(*map(repeat, prefix), map(str, map(_YEAR, points)), map(repr, map(_SHARE, points)))
-
-
-def _finding_rows(findings: tuple[ValidationFinding, ...], *prefix: str):
-    return ([*prefix, f.kind, str(f.year), f.message] for f in findings)
-
-
-def _metabolism_json(config: ReportConfig, points: tuple[MetabolismPoint, ...]) -> dict:
-    return {
-        "numerator": config.numerator_item,
-        "denominator": config.denominator_item,
-        "points": list(map(_fields, points)),
-    }
 
 
 def _p_text(p: float) -> str:
@@ -374,69 +359,105 @@ def _render_findings_text(findings: tuple[ValidationFinding, ...]) -> str:
     return "\n".join(lines) + "\n"
 
 
+# The report's sections. Each one's function takes the report and ``whole``, true
+# in the full report and false in its subcommand, and returns its JSON payload and
+# text body as thunks and its CSV rows as an iterator, so a format builds only what
+# it prints. ``prefix * whole`` gives the full report's section (and item) cells.
+
+
+def _table_section(table: Mapping, render, prefix: tuple):
+    return lambda: _table_json(table), _table_rows(table, *prefix), lambda: render(table)
+
+
+def _trend(report: Report, whole: bool):
+    return _table_section(report.trend_table, render_table, ("trend",) * whole)
+
+
+def _growth(report: Report, whole: bool):
+    return _table_section(report.growth_table, _render_growth_text, ("growth",) * whole)
+
+
+def _allometric(report: Report, whole: bool):
+    fit, config = report.allometric_table, report.config
+    return (lambda: _fields(fit), _field_rows(fit, *("allometric", config.numerator_item) * whole),
+            lambda: _render_allometric_text(fit, config.numerator_item, config.denominator_item))
+
+
+def _metabolism(report: Report, whole: bool):
+    """The shares; the whole report puts other_costs' beside them, in every format."""
+    numerator, points = report.config.numerator_item, report.metabolism_series
+    items = {"numerator": numerator, "denominator": report.config.denominator_item}
+    if not whole:
+        return (lambda: {**items, "points": list(map(_fields, points))}, _share_rows(points),
+                lambda: _render_shares_text([("share_percent", points)]))
+    others = report.other_costs_share
+    return (lambda: {**items, "points": list(map(_fields, points)),
+                     "other_costs_points": list(map(_fields, others))},
+            chain(_share_rows(points, "metabolism", numerator),
+                  _share_rows(others, "metabolism", "other_costs")),
+            lambda: _render_shares_text([(numerator, points), ("other_costs", others)]))
+
+
+def _crossings(report: Report, whole: bool):
+    crossings = report.crossings
+    rows = ((["crossings", f"{c.start_year}-{c.end_year}", "crossing_year"] if whole
+             else [c.start_year, c.end_year]) + [repr(c.crossing_year)] for c in crossings)
+    return lambda: list(map(_fields, crossings)), rows, lambda: _render_crossings_text(crossings)
+
+
+def _mean_costs(report: Report, whole: bool):
+    profile = report.mean_costs
+    return (lambda: {"items": _table_json(profile.by_item), "omitted": list(profile.omitted)},
+            _table_rows(profile.by_item, *("mean_costs",) * whole),
+            lambda: _render_mean_costs_text(profile))
+
+
+def _validation(report: Report, whole: bool):
+    findings = report.validation_findings
+    return (lambda: list(map(_fields, findings)),
+            ([*("validation",) * whole, f.kind, str(f.year), f.message] for f in findings),
+            lambda: _render_findings_text(findings))
+
+
+# Each section under its JSON key, in CSV order: its subcommand (None for the
+# whole report's only), that subcommand's CSV header, its text title as a
+# format string over ``vars(config)``, and its function.
+_SECTIONS = {
+    "trend": ("trend", ["item", "field", "value"],
+              "Trend regressions (OLS on calendar year)", _trend),
+    "growth": ("growth", ["item", "field", "value"], "Arithmetic growth rates", _growth),
+    "allometric": ("allometric", ["field", "value"], "Allometric relation", _allometric),
+    "metabolism": ("metabolism", ["year", "share_percent"],
+                   "Cost share of {denominator_item} (percent)", _metabolism),
+    "crossings": ("crossover", ["start_year", "end_year", "crossing_year"],
+                  "Share crossovers", _crossings),
+    "mean_costs": (None, None, "Mean cost profile {period[0]}-{period[1]}", _mean_costs),
+    "validation": ("validate", ["kind", "year", "message"], "Validation findings", _validation),
+}
+
+
 def render_report_text(report: Report) -> str:
     ledger = report.ledger
     config = report.config
     start, end = config.period
-    sections = [
-        ("Validation findings", _render_findings_text(report.validation_findings)),
-        ("Trend regressions (OLS on calendar year)", render_table(report.trend_table)),
-        ("Arithmetic growth rates", _render_growth_text(report.growth_table)),
-        ("Allometric relation", _render_allometric_text(
-            report.allometric_table, config.numerator_item, config.denominator_item
-        )),
-        (f"Cost share of {config.denominator_item} (percent)", _render_shares_text([
-            (config.numerator_item, report.metabolism_series),
-            ("other_costs", report.other_costs_share),
-        ])),
-        ("Share crossovers", _render_crossings_text(report.crossings)),
-        (f"Mean cost profile {start}-{end}", _render_mean_costs_text(report.mean_costs)),
-        ("Cross-checks", _render_cross_checks(report)),
-    ]
-    header = (f"Ledger: {ledger.organization or '(unnamed)'} "
-              f"({len(ledger)} records, window {start}-{end}, EUR)\n")
+    text = (f"Ledger: {ledger.organization or '(unnamed)'} "
+            f"({len(ledger)} records, window {start}-{end}, EUR)\n")
     # Each section body ends in one newline; a blank line precedes each title.
-    return header + "".join(f"\n{title}\n{body}" for title, body in sections)
+    for key in sorted(_SECTIONS, key="validation".__ne__):  # validation first
+        *_, title, section = _SECTIONS[key]
+        text += f"\n{title.format_map(vars(config))}\n{section(report, True)[2]()}"
+    return text + f"\nCross-checks\n{_render_cross_checks(report)}"
 
 
 def report_to_json(report: Report) -> str:
     """Full-precision JSON with fixed key order; byte-deterministic."""
-    return _json({
-        "trend": _table_json(report.trend_table),
-        "growth": _table_json(report.growth_table),
-        "allometric": _fields(report.allometric_table),
-        "metabolism": {
-            **_metabolism_json(report.config, report.metabolism_series),
-            "other_costs_points": list(map(_fields, report.other_costs_share)),
-        },
-        "crossings": [_fields(c) for c in report.crossings],
-        "mean_costs": {
-            "items": _table_json(report.mean_costs.by_item),
-            "omitted": list(report.mean_costs.omitted),
-        },
-        "validation": [_fields(f) for f in report.validation_findings],
-    })
-
-
-def _report_blocks(report: Report) -> tuple:
-    """The report's CSV rows, a block per section, each section read in report order."""
-    numerator = report.config.numerator_item
-    return (
-        _table_rows(report.trend_table, "trend"),
-        _table_rows(report.growth_table, "growth"),
-        _field_rows(report.allometric_table, "allometric", numerator),
-        _share_rows(report.metabolism_series, "metabolism", numerator),
-        _share_rows(report.other_costs_share, "metabolism", "other_costs"),
-        (["crossings", f"{c.start_year}-{c.end_year}", "crossing_year", repr(c.crossing_year)]
-         for c in report.crossings),
-        _table_rows(report.mean_costs.by_item, "mean_costs"),
-        _finding_rows(report.validation_findings, "validation"),
-    )
+    return _json({key: section(report, True)[0]() for key, (*_, section) in _SECTIONS.items()})
 
 
 def report_to_csv(report: Report) -> str:
     """Long-format CSV: section,item,field,value at full precision."""
-    return _csv(["section", "item", "field", "value"], *_report_blocks(report))
+    return _csv(["section", "item", "field", "value"],
+                *(section(report, True)[1] for *_, section in _SECTIONS.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -520,7 +541,7 @@ def _write_figures(report: Report, figure_ids, output_dir: str | os.PathLike[str
     for name in set_aside:
         (stage / f"{name}.bak").unlink()
     stage.rmdir()
-    return [output_dir / f"{figure_id}.csv" for figure_id in figure_ids]
+    return [output_dir / name for name, _ in staged]
 
 
 def emit_figure_data(report: Report, figure_id: str, output_dir: str | os.PathLike[str]):
@@ -601,35 +622,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _section(report: Report, command: str):
-    """A subcommand's section of the report: (JSON payload, CSV header, CSV rows, text)."""
-    config = report.config
-    if command == "validate":
-        findings = report.validation_findings
-        return ({"validation": [_fields(f) for f in findings]}, ["kind", "year", "message"],
-                _finding_rows(findings), lambda: _render_findings_text(findings))
-    if command in ("trend", "growth"):
-        table, render = ((report.trend_table, render_table) if command == "trend"
-                         else (report.growth_table, _render_growth_text))
-        return ({command: _table_json(table)}, ["item", "field", "value"],
-                _table_rows(table), lambda: render(table))
-    if command == "allometric":
-        fit = report.allometric_table
-        return ({"allometric": _fields(fit)}, ["field", "value"], _field_rows(fit),
-                lambda: _render_allometric_text(fit, config.numerator_item,
-                                                config.denominator_item))
-    if command == "metabolism":
-        points = report.metabolism_series
-        return ({"metabolism": _metabolism_json(config, points)},
-                ["year", "share_percent"], _share_rows(points),
-                lambda: _render_shares_text([("share_percent", points)]))
-    crossings = report.crossings
-    return ({"crossings": [_fields(c) for c in crossings]},
-            ["start_year", "end_year", "crossing_year"],
-            ([c.start_year, c.end_year, repr(c.crossing_year)] for c in crossings),
-            lambda: _render_crossings_text(crossings))
-
-
 def _run_command(command: str, config: ReportConfig, args: argparse.Namespace) -> str:
     if command == "report":
         render = {"json": report_to_json, "csv": report_to_csv, "text": render_report_text}
@@ -637,12 +629,12 @@ def _run_command(command: str, config: ReportConfig, args: argparse.Namespace) -
     if command == "figures":
         paths = _write_figures(run_report(config), args.figures or FIGURE_IDS, args.output_dir)
         return "".join(f"{path}\n" for path in paths)
-    payload, header, rows, text = _section(Report(load_ledger(config), config), command)
-    if args.output_format == "json":
-        return _json(payload)
-    if args.output_format == "csv":
-        return _csv(header, rows)
-    return text()
+    for key, (subcommand, header, _, section) in _SECTIONS.items():
+        if subcommand == command:
+            payload, rows, text = section(Report(load_ledger(config), config), False)
+            if args.output_format == "json":
+                return _json({key: payload()})
+            return _csv(header, rows) if args.output_format == "csv" else text()
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -115,8 +115,12 @@ def descriptives(values: Sequence[float]) -> Descriptives:
     else:
         # d * d, not d ** 2: C pow need not round correctly, and the product's
         # exact rounding keeps sd exactly proportional to power-of-two scaling.
+        # The corrected two-pass sum of squares (Chan, Golub & LeVeque 1983):
+        # less fsum(d)^2 / n, which is what the rounding of the mean adds.
         deviations = list(map(sub, scaled, repeat(mean)))
-        sd = math.sqrt(math.fsum(map(mul, deviations, deviations)) / (n - 1))
+        excess = math.fsum(deviations)
+        ss = math.fsum(map(mul, deviations, deviations)) - excess * excess / n
+        sd = math.sqrt(max(ss, 0.0) / (n - 1))
     return Descriptives(n=n, mean=math.ldexp(mean, k), sd=math.ldexp(sd, k), minimum=minimum, maximum=maximum)
 
 

@@ -3,16 +3,19 @@
 None of these share code with the library: tail probabilities come from
 adaptive Simpson quadrature of the densities, regression coefficients from
 direct grid refinement of the residual sum of squares, and moments from
-plain two-pass summation. The ledger parser checks a file row by row, the
-reference for the library's column-at-a-time parser, and the validation
-checks a ledger record by record; both share the library's data types,
-column lists and tolerance, not its parsing or checking code.
+plain two-pass summation or exact rational arithmetic. The ledger parser
+checks a file row by row, the reference for the library's column-at-a-time
+parser, and the validation checks a ledger record by record; both share the
+library's data types, column lists and tolerance, not its parsing or
+checking code.
 """
 
 import csv
+import decimal
 import io
 import math
 from collections.abc import Iterator
+from fractions import Fraction
 
 from ecometab.errors import ParseError
 from ecometab.ledger import (
@@ -165,6 +168,23 @@ def two_pass_mean_sd(values):
         return mean, 0.0
     var = sum((v - mean) ** 2 for v in values) / (n - 1)
     return mean, math.sqrt(var)
+
+
+def exact_mean_sd(values):
+    """Mean and sample standard deviation in exact rational arithmetic, each rounded once.
+
+    The square root is taken to 60 significant digits before that rounding.
+    """
+    n = len(values)
+    exact = list(map(Fraction, values))
+    mean = sum(exact) / n
+    if n == 1:
+        return float(mean), 0.0
+    var = sum((v - mean) ** 2 for v in exact) / (n - 1)
+    with decimal.localcontext() as context:
+        context.prec = 60
+        sd = (decimal.Decimal(var.numerator) / decimal.Decimal(var.denominator)).sqrt()
+    return float(mean), float(sd)
 
 
 def brute_force_crossings(years, deltas):

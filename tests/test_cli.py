@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -463,6 +464,14 @@ class TestCommandLine:
         assert main(argv + (["--out-dir", out_dir] if out_dir else [])) == 0
         assert capsys.readouterr().out == f"{prefix}fig2.csv\n{prefix}fig1.csv\n"
 
+    def test_figures_print_a_repeated_figure_once(self, ledger_file, tmp_path, capsys):
+        out_dir = tmp_path / "figs"
+        out_dir.mkdir()
+        argv = ["figures", "--input", str(ledger_file), "--out-dir", str(out_dir)]
+        assert main(argv + ["--figure", "fig2", "--figure", "fig1", "--figure", "fig2"]) == 0
+        assert capsys.readouterr().out == f"{out_dir / 'fig2.csv'}\n{out_dir / 'fig1.csv'}\n"
+        assert sorted(p.name for p in out_dir.iterdir()) == ["fig1.csv", "fig2.csv"]
+
     def test_period_flags(self, ledger_file):
         result = run_cli("metabolism", "--input", str(ledger_file),
                          "--from", "2000", "--to", "2005", "--format", "csv")
@@ -482,6 +491,51 @@ class TestCommandLine:
         monkeypatch.chdir(tmp_path)
         assert main([command, "--input", str(path)]) == 0
         assert capsys.readouterr().err == ""
+
+
+class TestSubcommandSections:
+    """A subcommand runs only its own section's analyses; the parser lists them in order."""
+
+    COMMANDS = ["report", "trend", "metabolism", "growth", "allometric", "crossover",
+                "figures", "validate"]
+
+    @pytest.fixture
+    def no_other_costs(self, tmp_path):
+        records = random_ledger(seed=21).records
+        records = [dataclasses.replace(r, other_costs=None) for r in records]
+        return write_ledger_file(tmp_path / "no_other_costs.csv", ledger_of(records))
+
+    @pytest.mark.parametrize("output_format", ["text", "json", "csv"])
+    @pytest.mark.parametrize("command", ["trend", "growth", "allometric", "metabolism",
+                                         "validate"])
+    def test_a_section_without_other_costs(self, no_other_costs, capsys, command,
+                                           output_format):
+        assert main([command, "--input", str(no_other_costs), "--format", output_format]) == 0
+        out, err = capsys.readouterr()
+        assert out and err == ""
+
+    @pytest.mark.parametrize("output_format", ["text", "json", "csv"])
+    @pytest.mark.parametrize("command", ["crossover", "report", "figures"])
+    def test_sections_that_need_other_costs(self, no_other_costs, tmp_path, capsys, command,
+                                            output_format):
+        argv = [command, "--input", str(no_other_costs), "--format", output_format]
+        assert main(argv + (["--out-dir", str(tmp_path)] if command == "figures" else [])) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("error: metabolism[other_costs]: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["no_other_costs.csv"]
+
+    def test_help_lists_the_commands_in_order(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["--help"])
+        assert exit_.value.code == 0
+        choices = re.search(r"\{([a-z,]+)\}", capsys.readouterr().out).group(1)
+        assert choices.split(",") == self.COMMANDS
+
+    def test_an_unknown_command_lists_the_commands_in_order(self, capsys):
+        assert main(["summary", "--input", "x.csv"]) == 1
+        err = capsys.readouterr().err
+        assert re.findall(r"[a-z]+", err.partition("choose from")[2]) == self.COMMANDS
 
 
 class TestHostileInputOnTheCommandLine:

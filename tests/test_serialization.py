@@ -4,8 +4,9 @@ The emitters read result fields in place. The reference below serializes the
 same results through ``dataclasses.asdict``, which copies every field (a fit's
 residuals included), and must produce the same bytes, for the full report and
 for each single-analysis command, on ledgers with lira years and defects, one
-of them 2000 rows long. The JSON writer itself must match ``json.dumps`` with
-``indent=2`` on any tree of dicts, lists and tuples.
+of them 2000 rows long. Each command's JSON, CSV and text must be its
+section of the full report's. The JSON writer itself must match
+``json.dumps`` with ``indent=2`` on any tree of dicts, lists and tuples.
 """
 
 import csv
@@ -198,6 +199,62 @@ def test_command_outputs_match_the_deep_copy_reference(case, capsys):
         out, err = capsys.readouterr()
         assert (command, output_format, code, err) == (command, output_format, 0, "")
         assert out == text, (command, output_format)
+
+
+# Each single-analysis command: its section's JSON key and text title in the
+# report, and how many leading cells (section, item) of the report's CSV rows
+# it leaves out.
+SECTION_OF = {
+    "trend": ("trend", "Trend regressions (OLS on calendar year)", 1),
+    "growth": ("growth", "Arithmetic growth rates", 1),
+    "allometric": ("allometric", "Allometric relation", 2),
+    "metabolism": ("metabolism", "Cost share of total_revenue (percent)", 2),
+    "crossover": ("crossings", "Share crossovers", None),
+    "validate": ("validation", "Validation findings", 1),
+}
+
+
+def text_sections(text):
+    """A text report's section bodies by title: the indented lines under it."""
+    sections = {}
+    for line in text.splitlines(keepends=True)[1:]:
+        if line.startswith("  "):
+            sections[title] += line
+        elif line.strip():
+            title = line.rstrip("\n")
+            sections[title] = ""
+    return sections
+
+
+def test_each_command_prints_its_section_of_the_report(case, capsys):
+    path, _, period, alpha = case
+    flags = ["--input", str(path), "--from", str(period[0]), "--to", str(period[1]),
+             "--alpha", repr(alpha)]
+
+    def run(command, output_format):
+        assert main([command, *flags, "--format", output_format]) == 0
+        return capsys.readouterr().out
+
+    report_json = json.loads(run("report", "json"))
+    del report_json["metabolism"]["other_costs_points"]  # the report's alone
+    report_rows = list(csv.reader(io.StringIO(run("report", "csv"))))[1:]
+    report_text = text_sections(run("report", "text"))
+    for command, (key, title, left_out) in SECTION_OF.items():
+        assert run(command, "json") == dumps({key: report_json[key]}), command
+        section = [row for row in report_rows if row[0] == key]
+        if command == "metabolism":
+            section = [row for row in section if row[1] == "cost_of_personnel"]
+        if command == "crossover":  # the README's mapping of the columns
+            expected = [[*row[1].split("-"), row[3]] for row in section]
+        else:
+            expected = [row[left_out:] for row in section]
+        assert list(csv.reader(io.StringIO(run(command, "csv"))))[1:] == expected, command
+        text = run(command, "text")
+        if command == "metabolism":  # one share column where the report has two
+            assert ([line.split() for line in text.splitlines()[1:]]
+                    == [line.split()[:2] for line in report_text[title].splitlines()[1:]])
+        else:
+            assert text == report_text[title], command
 
 
 def test_rendering_leaves_the_results_as_they_were(tmp_path):
