@@ -186,11 +186,9 @@ def _csv(header: list[str], *blocks) -> str:
 
 def _field_rows(result, *prefix: str):
     """A result's ``[*prefix, field, value]`` rows at full precision, residuals left out."""
-    return (
-        [*prefix, field, repr(value)]
-        for field, value in _fields(result).items()
-        if field != "residuals"
-    )
+    for field, value in _fields(result).items():
+        if field != "residuals":
+            yield [*prefix, field, repr(value)]
 
 
 def _table_json(table: Mapping) -> dict:
@@ -385,17 +383,16 @@ def _allometric(report: Report, whole: bool):
 
 def _metabolism(report: Report, whole: bool):
     """The shares; the whole report puts other_costs' beside them, in every format."""
-    numerator, points = report.config.numerator_item, report.metabolism_series
-    items = {"numerator": numerator, "denominator": report.config.denominator_item}
-    if not whole:
-        return (lambda: {**items, "points": list(map(_fields, points))}, _share_rows(points),
-                lambda: _render_shares_text([("share_percent", points)]))
-    others = report.other_costs_share
-    return (lambda: {**items, "points": list(map(_fields, points)),
-                     "other_costs_points": list(map(_fields, others))},
-            chain(_share_rows(points, "metabolism", numerator),
-                  _share_rows(others, "metabolism", "other_costs")),
-            lambda: _render_shares_text([(numerator, points), ("other_costs", others)]))
+    config = report.config
+    columns = [(config.numerator_item if whole else "share_percent", report.metabolism_series)]
+    if whole:
+        columns.append(("other_costs", report.other_costs_share))
+    return (lambda: {"numerator": config.numerator_item, "denominator": config.denominator_item,
+                     **{key: list(map(_fields, points))
+                        for key, (_, points) in zip(("points", "other_costs_points"), columns)}},
+            chain.from_iterable(_share_rows(points, *("metabolism", label) * whole)
+                                for label, points in columns),
+            lambda: _render_shares_text(columns))
 
 
 def _crossings(report: Report, whole: bool):

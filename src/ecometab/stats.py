@@ -36,15 +36,15 @@ _BETA_MAX_ITER = 300
 # two; a larger gap means they do not describe the same point.
 _BETA_XY_TOL = 2.0**-50
 
-# t_critical stops after a Newton step smaller than this fraction of t: the
-# error left by such a step is of the order of its square, below double
-# precision, while steps of this size still clear the noise that lgamma
-# cancellation puts into the tail at df around 1e7.
+# t_critical stops after a Newton step in ln t smaller than this: the error
+# left by such a step is of the order of its square, below double precision.
+# Where lgamma cancellation (df around 1e7 and up) or a subnormal tail puts
+# more noise than this into the tail, the step that fails to shrink stops it.
 _T_STEP_TOL = 1e-9
 _T_MAX_ITER = 100
 
 # Odeh & Evans (1974, Applied Statistics AS 70): upper-tail normal deviate
-# for Hill's start, absolute error below 1.5e-8.
+# for t_critical's start, absolute error below 1.5e-8.
 _AS70_P = (-0.322232431088, -1.0, -0.342242088547, -0.0204231210245, -0.453642210148e-4)
 _AS70_Q = (0.0993484626060, 0.588581570495, 0.531103462366, 0.103537752850, 0.38560700634e-2)
 
@@ -225,44 +225,15 @@ def p_value_f(f: float, df1: int, df2: int) -> float:
     return betainc(df2 / 2.0, df1 / 2.0, df2 / (df2 + g), g / (df2 + g))
 
 
-def _hill_start(alpha: float, df: int) -> float:
-    """Hill's approximation to the two-sided t critical value, for df >= 3.
-
-    G. W. Hill, "Algorithm 396: Student's t-quantiles", CACM 13(10), 1970,
-    with the normal deviate of alpha/2 from Odeh & Evans (AS 70).
-    """
-    n = float(df)
-    a = 1.0 / (n - 0.5)
-    b = 48.0 / (a * a)
-    c = ((20700.0 * a / b - 98.0) * a - 16.0) * a + 96.36
-    d = ((94.5 / (b + c) - 3.0) / b + 1.0) * math.sqrt(a * math.pi / 2.0) * n
-    # (d * alpha) ** (2 / n), in logarithms so that a tiny alpha cannot underflow.
-    y = math.exp(2.0 / n * (math.log(d) + math.log(alpha)))
-    if y <= 0.05 + a:
-        # Far tail: expansion in powers of y.
-        y = ((1.0 / (((n + 6.0) / (n * y) - 0.089 * d - 0.822) * (n + 2.0) * 3.0)
-              + 0.5 / (n + 4.0)) * y - 1.0) * (n + 1.0) / (n + 2.0) + 1.0 / y
-        return math.sqrt(n * y)
-    # Expansion about the normal deviate x of alpha/2 (x < 0).
-    w = math.sqrt(2.0 * (math.log(2.0) - math.log(alpha)))
-    p, q = _AS70_P, _AS70_Q
-    x = -w - ((((p[4] * w + p[3]) * w + p[2]) * w + p[1]) * w + p[0]) / (
-        (((q[4] * w + q[3]) * w + q[2]) * w + q[1]) * w + q[0]
-    )
-    y = x * x
-    if df < 5:
-        c += 0.3 * (n - 4.5) * (x + 0.6)
-    c = (((0.05 * d * x - 5.0) * x - 7.0) * x - 2.0) * x + b + c
-    y = (((((0.4 * y + 6.3) * y + 36.0) * y + 94.5) / c - y - 3.0) / b + 1.0) * x
-    return math.sqrt(n * math.expm1(a * y * y))
-
-
 def t_critical(alpha: float, df: int) -> float:
     """Two-sided critical value: the t with P(|T| >= t) = alpha.
 
-    Exact for df 1 and 2. Otherwise Newton steps on the closed-form t
-    density from Hill's start, inside a bracket that falls back to bisection
-    whenever a step leaves it or fails to halve the step before.
+    Exact for df 1 and 2. Otherwise Newton steps in ln t, from the
+    Cornish-Fisher expansion of t about the normal deviate of alpha/2
+    (Abramowitz & Stegun 26.7.5). In ln t the log of the tail is concave, and
+    so is the log of the central probability used above alpha = 1/2: the steps
+    cross the root at most once and then shrink, so a step that does not
+    shrink has reached the noise floor of the tail.
     """
     if not 0.0 < alpha < 1.0:
         raise DomainError("t_critical needs 0 < alpha < 1")
@@ -275,36 +246,42 @@ def t_critical(alpha: float, df: int) -> float:
         return math.tan(0.5 * math.pi * (1.0 - alpha))
     if df == 2:
         return (1.0 - alpha) * math.sqrt(2.0 / (alpha * (2.0 - alpha)))
-    log_density = (
-        math.lgamma((df + 1) / 2.0) - math.lgamma(df / 2.0) - 0.5 * math.log(df * math.pi)
+    log_density = (math.lgamma((df + 1) / 2.0) - math.lgamma(df / 2.0)
+                   - 0.5 * math.log(df * math.pi))
+    # Start from the normal deviate z of alpha/2 and t's terms in 1/df about it.
+    w = math.sqrt(2.0 * (math.log(2.0) - math.log(alpha)))
+    p, q = _AS70_P, _AS70_Q
+    z = w + ((((p[4] * w + p[3]) * w + p[2]) * w + p[1]) * w + p[0]) / (
+        (((q[4] * w + q[3]) * w + q[2]) * w + q[1]) * w + q[0]
     )
-    t = _hill_start(alpha, df)
-    lo, hi = 0.0, math.inf
-    step = math.inf
+    y = z * z
+    g1 = (y + 1.0) / 4.0
+    g2 = ((5.0 * y + 16.0) * y + 3.0) / 96.0
+    g3 = (((3.0 * y + 19.0) * y + 17.0) * y - 15.0) / 384.0
+    g4 = ((((79.0 * y + 776.0) * y + 1482.0) * y - 1920.0) * y - 945.0) / 92160.0
+    t = z * (1.0 + (g1 + (g2 + (g3 + g4 / df) / df) / df) / df)
+    # Up to alpha = 1/2 the tail, which falls as t grows; above it the central
+    # probability P(|T| < t), which rises and whose small value keeps its precision.
+    tail = alpha <= 0.5
+    ln_target = math.log(alpha) if tail else math.log1p(-alpha)
+    last = math.inf
     for _ in range(_T_MAX_ITER):
-        # The residual falls as t grows. Above alpha = 1/2 it is taken on the
-        # central probability P(|T| < t), whose small value keeps its precision.
-        if alpha <= 0.5:
-            residual = p_value_t(t, df) - alpha
+        t2 = t * t
+        if tail:
+            prob = p_value_t(t, df)
         else:
-            t2 = t * t
-            residual = (1.0 - alpha) - betainc(0.5, df / 2.0, t2 / (df + t2), df / (df + t2))
-        if residual > 0:
-            lo = t
-        else:
-            hi = t
-        # -d residual / dt = 2 f(t); an underflowed density gives no step.
-        slope = 2.0 * math.exp(log_density - 0.5 * (df + 1) * math.log1p(t * t / df))
-        t_next = t + residual / slope if slope > 0 else math.inf
-        # Bisect when a step leaves the bracket or fails to halve the one before.
-        if abs(t_next - t) > _T_STEP_TOL * t and (
-            not lo < t_next < hi or abs(t_next - t) > 0.5 * step
-        ):
-            t_next = 0.5 * (lo + hi) if hi < math.inf else 2.0 * t
-        step = abs(t_next - t)
-        if step <= _T_STEP_TOL * t:
-            return t_next
-        t = t_next
+            prob = betainc(0.5, df / 2.0, t2 / (df + t2), df / (df + t2))
+        # A tail that rounds to 0 counts as the least double. |d ln prob / d ln t|
+        # is 2 t f(t) / prob, taken in logarithms because f underflows far out.
+        ln_prob = math.log(max(prob, 5e-324))
+        ln_f = log_density - 0.5 * (df + 1) * math.log1p(t2 / df)
+        step = (ln_prob - ln_target) / math.exp(math.log(2.0 * t) + ln_f - ln_prob)
+        if abs(step) >= last:  # a step that does not shrink: the noise floor
+            return t
+        last = abs(step)
+        t *= math.exp(step if tail else -step)
+        if last <= _T_STEP_TOL:
+            return t
     raise ConvergenceError(f"t_critical did not converge (alpha={alpha!r}, df={df})")
 
 

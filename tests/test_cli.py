@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from ecometab import stats
+from ecometab import cli, stats
 from ecometab.cli import (
     FIGURE_IDS,
     Report,
@@ -267,6 +267,17 @@ class TestReportText:
         for render in (report_to_json, report_to_csv, render_report_text):
             render(report)
         assert {name: getattr(report, name) for name in before} == before
+
+    def test_text_builds_no_field_dicts(self, report, monkeypatch):
+        # Each section builds only the format asked for: the text reads no
+        # result's fields, which only JSON and CSV print.
+        expected = render_report_text(report)
+
+        def refuse(result):
+            raise AssertionError(f"the text read the fields of {type(result).__name__}")
+
+        monkeypatch.setattr(cli, "_fields", refuse)
+        assert render_report_text(report) == expected
 
 
 class TestFigures:
