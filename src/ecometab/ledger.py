@@ -274,12 +274,6 @@ def _parse_year(cell: str, row: int) -> int:
     raise ParseError(f"malformed year {cell!r}", row=row, column="year")
 
 
-def _stripped(cells: list[str]) -> list[str]:
-    """The cells without surrounding whitespace: the list itself if none holds any."""
-    joined = "".join(cells)
-    return cells if joined.split() == [joined] else list(map(str.strip, cells))
-
-
 def _converted(cells, convert) -> list | None:
     """``convert`` of every cell; ``None`` if one is not ASCII, holds a ``_`` or fails."""
     joined = "".join(cells)
@@ -348,6 +342,8 @@ def parse_ledger(
             then the year, a repeated year, the currency and the amounts in
             ``MONEY_ITEMS`` order.
     """
+    if isinstance(delimiter, str) and len(delimiter) != 1:  # csv.reader raises TypeError on these
+        raise ParseError(f"unusable delimiter {delimiter!r}: not one character")
     try:
         reader = csv.reader(stream, delimiter=delimiter)
     except ValueError as exc:  # from Python 3.13 on: a line break or the quote
@@ -391,7 +387,7 @@ def parse_ledger(
 
     # Each column is checked whole; only a file that fails a check is walked
     # row by row, for the fault a row-by-row parse meets first.
-    columns = {name: _stripped(cells_read[i::width]) for i, name in enumerate(header)}
+    columns = {name: list(map(str.strip, cells_read[i::width])) for i, name in enumerate(header)}
     years, codes = _converted(columns["year"], int), columns["currency"]
     # Lira amounts are divided by the rate, as normalize_currency does; euros by 1.0, exactly.
     divisors = list(map(_DIVISORS.get, codes, repeat(1.0)))

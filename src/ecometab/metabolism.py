@@ -22,7 +22,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
 from itertools import compress, repeat
-from operator import gt, le, lt, mul, ne, sub, truediv
+from operator import gt, le, lt, ne, sub
 
 from .errors import AlignmentError, DomainError, InsufficientDataError
 from .ledger import COST_ITEMS, LedgerSeries, Series, extract_series
@@ -124,16 +124,15 @@ def metabolism_index(
     """
     num = extract_series(ledger, numerator)
     den = extract_series(ledger, denominator)
-    if not any(map(le, den.values, repeat(0.0))):
-        shares = list(map(truediv, map(mul, repeat(100.0), num.values), den.values))
-        if all(map(math.isfinite, shares)):
-            return tuple(map(MetabolismPoint, num.years, shares))
-    for year, n_value, d_value in zip(num.years, num.values, den.values):  # name the year
+    points = []
+    for year, n_value, d_value in zip(num.years, num.values, den.values):
         if d_value <= 0:
             raise DomainError(f"{denominator} is not positive in {year}")
-        if not math.isfinite(100.0 * n_value / d_value):
+        share = 100.0 * n_value / d_value
+        if not math.isfinite(share):
             raise DomainError(f"share of {numerator} in {denominator} is not finite in {year}")
-    raise AssertionError("a share that failed its column check is at fault in no year")
+        points.append(MetabolismPoint(year, share))
+    return tuple(points)
 
 
 def arithmetic_growth(series: Series, start: int, end: int) -> GrowthRate:

@@ -142,25 +142,18 @@ def _beta_cf(a: float, b: float, x: float) -> float:
     h = d
     for m in range(1, _BETA_MAX_ITER + 1):
         m2 = 2 * m
-        coef = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + coef * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + coef / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        coef = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + coef * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + coef / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
+        even = m * (b - m) * x / ((qam + m2) * (a + m2))
+        odd = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        for coef in (even, odd):
+            d = 1.0 + coef * d
+            if abs(d) < tiny:
+                d = tiny
+            c = 1.0 + coef / c
+            if abs(c) < tiny:
+                c = tiny
+            d = 1.0 / d
+            delta = d * c
+            h *= delta
         if abs(delta - 1.0) < _BETA_TOL:
             return h
     raise ConvergenceError(
@@ -194,7 +187,10 @@ def betainc(a: float, b: float, x: float, y: float | None = None) -> float:
         ln_x, ln_y = math.log(x), math.log1p(-x)
     else:
         ln_x, ln_y = math.log1p(-y), math.log(y)
-    ln_front = math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b) + a * ln_x + b * ln_y
+    # The larger argument's terms first: the other tail of this point,
+    # betainc(b, a, y, x), forms the same front factor to the bit.
+    (p, ln_p), (q, ln_q) = ((a, ln_x), (b, ln_y)) if a >= b else ((b, ln_y), (a, ln_x))
+    ln_front = math.lgamma(p + q) - math.lgamma(p) - math.lgamma(q) + p * ln_p + q * ln_q
     front = math.exp(ln_front)
     if x < (a + 1.0) / (a + b + 2.0):
         return front * _beta_cf(a, b, x) / a

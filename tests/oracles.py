@@ -277,6 +277,8 @@ def row_parse_ledger(
             column, or undecodable or unreadable input, naming the offending
             row and column where known.
     """
+    if isinstance(delimiter, str) and len(delimiter) != 1:  # csv.reader raises TypeError on these
+        raise ParseError(f"unusable delimiter {delimiter!r}: not one character")
     try:
         reader = csv.reader(stream, delimiter=delimiter)
     except ValueError as exc:  # from Python 3.13 on: a line break or the quote

@@ -31,6 +31,7 @@ from ecometab.ledger import (
     write_ledger,
 )
 from helpers import csv_text, full_row, ledger_of, lira_text, random_ledger, record
+from oracles import row_parse_ledger
 
 
 def parse(text, **kwargs):
@@ -114,6 +115,14 @@ class TestParse:
         text = csv_text([full_row(1997, "EUR", 1.0, 0.5, 1.0, 0.1)], delimiter=";")
         ledger = parse(text, delimiter=";")
         assert ledger.records[0].total_revenue == 1.0
+
+    @pytest.mark.parametrize("delimiter", ["", ";;", "\t\t"])
+    def test_delimiter_of_other_than_one_character(self, delimiter):
+        # csv.reader raises TypeError on these, on every Python version.
+        text = csv_text([full_row(1997, "EUR", 1.0, 0.5, 1.0, 0.1)])
+        for parser in (parse_ledger, row_parse_ledger):
+            with pytest.raises(ParseError, match="unusable delimiter"):
+                parser(io.StringIO(text), delimiter=delimiter)
 
 
 class TestHostileInput:

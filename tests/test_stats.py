@@ -328,9 +328,16 @@ class TestPValues:
         assert 0.0 <= p_value_f(abs(s), df1, df) <= 1.0
 
     def test_betainc_symmetry(self):
-        assert betainc(2.0, 3.0, 0.4) == pytest.approx(
-            1.0 - betainc(3.0, 2.0, 0.6), rel=1e-12
-        )
+        # The two tails of one point share one front factor, so they sum to 1
+        # within an ulp: at df 1e6 they once missed by 3.5e-11.
+        points = [(2.0, 3.0, 0.4, 0.6)]
+        for df in (3, 17, 1998, 10**6, 10**7):
+            for t in (0.05, 0.1, 0.2533, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0):
+                t2 = t * t
+                points.append((df / 2.0, 0.5, df / (df + t2), t2 / (df + t2)))
+        for a, b, x, y in points:
+            total = betainc(a, b, x, y) + betainc(b, a, y, x)
+            assert abs(total - 1.0) <= 2.3e-16, (a, b, x, total - 1.0)
 
     def test_t_critical_matches_oracle(self):
         for alpha, df in ((0.05, 17), (0.01, 17), (0.05, 5), (0.001, 100)):
@@ -341,6 +348,10 @@ class TestPValues:
     def test_t_critical_round_trips(self):
         crit = t_critical(0.05, 17)
         assert p_value_t(crit, 17) == pytest.approx(0.05, abs=1e-10)
+        # Above alpha = 1/2 the root is found on the central probability, the
+        # other tail of the point p_value_t takes.
+        crit = t_critical(0.8, 10**6)
+        assert p_value_t(crit, 10**6) == pytest.approx(0.8, rel=1e-15)
 
     # References below are 40-digit mpmath values rounded to double; scipy
     # 1.17 gives the same p-value to the bit.
@@ -351,7 +362,7 @@ class TestPValues:
     def test_t_critical_near_alpha_one(self):
         assert t_critical(0.999999, 5) == pytest.approx(1.3171527621084687e-06, rel=1e-12)
         assert t_critical(0.999999, 17) == pytest.approx(1.2718706747787083e-06, rel=1e-12)
-        # lgamma cancellation at df = 1e6 limits this one to about 7e-10.
+        # lgamma cancellation at df = 1e6 limits this one to about 5.5e-10.
         assert t_critical(0.999999, 10**6) == pytest.approx(1.2533144506804418e-06, rel=1e-9)
 
     def test_t_critical_at_extreme_arguments(self):
