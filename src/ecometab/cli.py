@@ -1,13 +1,13 @@
 """Command-line front end and output formats.
 
-Every subcommand reads one ``Report`` (``report.py``): ``report`` and
-``figures`` every section, the others only their own, whose analyses alone
-run and name themselves in an error. Each section is defined once, in
-``_SECTIONS``: its JSON, CSV and text, in the full report and as its own
-subcommand. Text tables are a pure view; JSON carries every number at full
-precision, so display rounding never feeds back into computation. Output is
-deterministic: the same input file and configuration produce byte-identical
-results. Figure files are all-or-nothing.
+Every subcommand reads one ``Report`` (``report.py``): ``report`` every
+section, ``figures`` those its figures read and the others only their own,
+whose analyses alone run and name themselves in an error. Each section is
+defined once, in ``_SECTIONS``: its JSON, CSV and text, in the full report
+and as its own subcommand. Text tables are a pure view; JSON carries every
+number at full precision, so display rounding never feeds back into
+computation. Output is deterministic: the same input file and configuration
+produce byte-identical results. Figure files are all-or-nothing.
 """
 
 from __future__ import annotations
@@ -623,12 +623,13 @@ def _run_command(command: str, config: ReportConfig, args: argparse.Namespace) -
     if command == "report":
         render = {"json": report_to_json, "csv": report_to_csv, "text": render_report_text}
         return render[args.output_format](run_report(config))
+    report = Report(load_ledger(config), config)
     if command == "figures":
-        paths = _write_figures(run_report(config), args.figures or FIGURE_IDS, args.output_dir)
+        paths = _write_figures(report, args.figures or FIGURE_IDS, args.output_dir)
         return "".join(f"{path}\n" for path in paths)
     for key, (subcommand, header, _, section) in _SECTIONS.items():
         if subcommand == command:
-            payload, rows, text = section(Report(load_ledger(config), config), False)
+            payload, rows, text = section(report, False)
             if args.output_format == "json":
                 return _json({key: payload()})
             return _csv(header, rows) if args.output_format == "csv" else text()

@@ -328,26 +328,27 @@ def parse_ledger(
     Args:
         stream: text stream with a header row followed by one row per year.
         organization: label stored on the resulting series.
-        delimiter: field separator (comma by default).
+        delimiter: field separator (comma by default): one character other
+            than NUL, CR, LF and the double quote.
 
     Returns:
         A ``LedgerSeries`` sorted by year with every record converted to EUR.
 
     Raises:
-        ParseError: malformed number or year, unknown currency code, duplicate
-            year, negative value in a non-negative item, missing required
-            column, or undecodable or unreadable input, naming the offending
-            row and column where known. Of several faults, the first in file
-            order is raised; within a row, a blank required cell comes first,
-            then the year, a repeated year, the currency and the amounts in
-            ``MONEY_ITEMS`` order.
+        ParseError: unusable delimiter, malformed number or year, unknown
+            currency code, duplicate year, negative value in a non-negative
+            item, missing required column, or undecodable or unreadable
+            input, naming the offending row and column where known. Of
+            several faults, the first in file order is raised; within a row,
+            a blank required cell comes first, then the year, a repeated
+            year, the currency and the amounts in ``MONEY_ITEMS`` order.
     """
-    if isinstance(delimiter, str) and len(delimiter) != 1:  # csv.reader raises TypeError on these
-        raise ParseError(f"unusable delimiter {delimiter!r}: not one character")
-    try:
-        reader = csv.reader(stream, delimiter=delimiter)
-    except ValueError as exc:  # from Python 3.13 on: a line break or the quote
-        raise ParseError(f"unusable delimiter {delimiter!r}: {exc}") from None
+    # csv refuses a different set of these on each Python version; a non-str
+    # is left to its TypeError.
+    if isinstance(delimiter, str) and (len(delimiter) != 1 or delimiter in '\0\r\n"'):
+        raise ParseError(f"unusable delimiter {delimiter!r}: not one character "
+                         "other than NUL, CR, LF and '\"'")
+    reader = csv.reader(stream, delimiter=delimiter)
     # One loop reads the header and the cells of each data row that holds
     # anything, into one list, up to the first row of the wrong width or
     # reader error: ``stop``, raised only if no row before it is at fault.

@@ -198,10 +198,9 @@ def allometric_fit(
     """Fit dependent = prefactor * explanatory^exponent on log-log scale.
 
     Both series must be strictly positive over the ledger. The exponent's
-    standard error drives the allometry classification at ``alpha``.
+    standard error drives the allometry classification at ``alpha``, which
+    ``classify_allometry`` checks once the data have been fitted.
     """
-    if not 0.0 < alpha < 1.0:
-        raise DomainError("alpha must be in (0, 1)")
     dep = extract_series(ledger, dependent_item)
     exp_ = extract_series(ledger, explanatory_item)
     for series, item in ((dep, dependent_item), (exp_, explanatory_item)):

@@ -203,8 +203,6 @@ def p_value_t(t: float, df: int) -> float:
         raise DomainError("p_value_t needs df >= 1")
     if not math.isfinite(t):
         raise DomainError("p_value_t needs a finite statistic")
-    if t == 0:
-        return 1.0
     t2 = t * t
     return betainc(df / 2.0, 0.5, df / (df + t2), t2 / (df + t2))
 
@@ -215,8 +213,6 @@ def p_value_f(f: float, df1: int, df2: int) -> float:
         raise DomainError("p_value_f needs df1 >= 1 and df2 >= 1")
     if not math.isfinite(f) or f < 0:
         raise DomainError("p_value_f needs a finite statistic >= 0")
-    if f == 0:
-        return 1.0
     g = df1 * f
     return betainc(df2 / 2.0, df1 / 2.0, df2 / (df2 + g), g / (df2 + g))
 

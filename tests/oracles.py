@@ -277,12 +277,12 @@ def row_parse_ledger(
             column, or undecodable or unreadable input, naming the offending
             row and column where known.
     """
-    if isinstance(delimiter, str) and len(delimiter) != 1:  # csv.reader raises TypeError on these
-        raise ParseError(f"unusable delimiter {delimiter!r}: not one character")
-    try:
-        reader = csv.reader(stream, delimiter=delimiter)
-    except ValueError as exc:  # from Python 3.13 on: a line break or the quote
-        raise ParseError(f"unusable delimiter {delimiter!r}: {exc}") from None
+    # csv refuses a different set of these on each Python version; a non-str
+    # is left to its TypeError.
+    if isinstance(delimiter, str) and (len(delimiter) != 1 or delimiter in '\0\r\n"'):
+        raise ParseError(f"unusable delimiter {delimiter!r}: not one character "
+                         "other than NUL, CR, LF and '\"'")
+    reader = csv.reader(stream, delimiter=delimiter)
     rows = _read_rows(reader)
     header = next(rows, None)
     if header is None:

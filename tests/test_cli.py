@@ -386,6 +386,19 @@ class TestCommandLine:
         assert "total_revenue" in result.stdout
         assert "std.coef" in result.stdout
 
+    def test_trend_text_flags_degenerate_and_exact_fits(self, tmp_path, capsys):
+        # Constant revenue, exactly linear total cost, personnel with some noise.
+        records = [record(1997 + i, revenue=100.0, personnel=40.0 + 3.0 * (i * 7 % 5),
+                          total_cost=60.0 + 2.5 * i) for i in range(19)]
+        path = write_ledger_file(tmp_path / "flat.csv", ledger_of(records))
+        assert main(["trend", "--input", str(path)]) == 0
+        rows = {line.split("  ")[1]: line.split() for line in capsys.readouterr().out.splitlines()}
+        # Each standard error is 0; the degenerate fit's p is 1, the exact fit's 0.
+        assert rows["total_revenue [degenerate]"][2:] == [
+            "100.000", "(0.000)", "0.000", "(0.000)", "0.00", "0.00", "0.00", "(1.000)"]
+        assert rows["total_cost [exact fit]"][3:] == [
+            "-4932.500***", "(0.000)", "2.500***", "(0.000)", "1.00", "1.00", "inf", "(<0.001)"]
+
     def test_trend_single_item(self, ledger_file):
         result = run_cli("trend", "--input", str(ledger_file), "--item", "services")
         assert result.returncode == 0
@@ -535,6 +548,30 @@ class TestSubcommandSections:
         assert out == "" and err.count("\n") == 1
         assert err.startswith("error: metabolism[other_costs]: ")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["no_other_costs.csv"]
+
+    @pytest.mark.parametrize("figures", [["fig2"], []])  # [] is the default set
+    @pytest.mark.parametrize("defect, failing", [
+        ("zero_personnel", "allometric"),  # ln 0 in one year
+        ("two_rows", "trend"),  # a regression needs 3 points
+    ])
+    def test_figures_run_only_the_analyses_they_read(self, tmp_path, capsys, defect, failing,
+                                                     figures):
+        records = random_ledger(seed=21, n_years=2 if defect == "two_rows" else 19).records
+        records = [dataclasses.replace(r, cost_of_personnel=0.0) if r.year == 2001 else r
+                   for r in records]  # the 2-row ledger ends in 1998
+        path = write_ledger_file(tmp_path / "ledger.csv", ledger_of(records))
+        assert main([failing, "--input", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {failing}")
+        out_dir = tmp_path / "figs"
+        out_dir.mkdir()
+        argv = ["figures", "--input", str(path), "--out-dir", str(out_dir)]
+        assert main(argv + [f"--figure={figure}" for figure in figures]) == 0
+        assert capsys.readouterr().err == ""
+        assert sorted(p.name for p in out_dir.iterdir()) == sorted(
+            f"{figure}.csv" for figure in figures or FIGURE_IDS)
+        assert (out_dir / "fig2.csv").read_text() == "".join(
+            f"{line}\n" for line in ["year,total_revenue,cost_of_personnel", *(
+                f"{r.year},{r.total_revenue!r},{r.cost_of_personnel!r}" for r in records)])
 
     def test_help_lists_the_commands_in_order(self, capsys):
         with pytest.raises(SystemExit) as exit_:
@@ -690,6 +727,7 @@ class TestHostileInputOnTheCommandLine:
 
     @pytest.mark.parametrize("delimiter", ["\n", "\r", '"'])
     def test_delimiter_the_csv_module_refuses(self, ledger_file, delimiter):
-        # Python 3.13's csv.reader raises ValueError on these; older ones read no columns.
+        # Python 3.13's csv.reader raises ValueError on these, and older ones read
+        # no columns; parse_ledger refuses them before csv sees them.
         result = run_cli("report", "--input", str(ledger_file), "--delimiter", delimiter)
-        self.assert_one_error_line(result)
+        self.assert_one_error_line(result, "unusable delimiter")

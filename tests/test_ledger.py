@@ -116,9 +116,10 @@ class TestParse:
         ledger = parse(text, delimiter=";")
         assert ledger.records[0].total_revenue == 1.0
 
-    @pytest.mark.parametrize("delimiter", ["", ";;", "\t\t"])
+    @pytest.mark.parametrize("delimiter", ["", ";;", "\t\t", "\0", '"', "\n", "\r"])
     def test_delimiter_of_other_than_one_character(self, delimiter):
-        # csv.reader raises TypeError on these, on every Python version.
+        # csv.reader raises TypeError on the first three, on every Python version;
+        # of the others each version takes some: the parsers refuse all of them.
         text = csv_text([full_row(1997, "EUR", 1.0, 0.5, 1.0, 0.1)])
         for parser in (parse_ledger, row_parse_ledger):
             with pytest.raises(ParseError, match="unusable delimiter"):
@@ -324,6 +325,10 @@ class TestSeriesInvariants:
     def test_series_rejects_duplicate_years(self):
         with pytest.raises(DomainError):
             Series((2000, 2000), (1.0, 2.0))
+
+    def test_series_rejects_values_of_another_length(self):
+        with pytest.raises(DomainError, match="differ in length"):
+            Series((1997, 1998), (1.0,))
 
 
 class TestExtractSeries:
