@@ -43,6 +43,7 @@ from .metabolism import (
     Crossing,
     GrowthRate,
     MetabolismPoint,
+    ShareSeries,
     allometric_fit,
     arithmetic_growth,
     classify_allometry,

@@ -21,7 +21,7 @@ import os
 import sys
 from collections.abc import Mapping
 from itertools import chain, repeat
-from operator import attrgetter, ge, itemgetter
+from operator import ge, itemgetter
 
 from .errors import DomainError, EcometabError
 from .ledger import (
@@ -31,7 +31,7 @@ from .ledger import (
     ValidationFinding,
     extract_series,
 )
-from .metabolism import AllometricFit, CostProfile, Crossing, GrowthRate, MetabolismPoint
+from .metabolism import AllometricFit, CostProfile, Crossing, GrowthRate, ShareSeries
 from .report import (
     TREND_ITEMS,
     Report,
@@ -39,7 +39,6 @@ from .report import (
     growth_over,
     load_ledger,
     run_report,
-    share_series,
 )
 from .stats import RegressionFit, p_value_t, significance_stars
 
@@ -71,7 +70,6 @@ def _fields(result) -> dict:
 
 
 _SCALARS = frozenset((str, int, float, bool, type(None)))
-_YEAR, _SHARE = attrgetter("year"), attrgetter("share_percent")
 
 
 @functools.cache
@@ -92,13 +90,16 @@ def _emit(value, depth: int, out) -> None:
     """Pass ``value``'s ``indent=2`` JSON at ``depth`` to ``out`` in pieces."""
     if isinstance(value, dict):
         children, brackets = value.values(), "{}"
-    elif isinstance(value, (list, tuple)):
+    elif isinstance(value, (list, tuple, ShareSeries)):
         children, brackets = value, "[]"
     else:  # a scalar, or a type json rejects with its own TypeError
         out(_encode_at(depth)(value))
         return
     if not children:
         out(brackets)
+        return
+    if isinstance(value, ShareSeries):  # its points, in json's key order, a column at a time
+        _emit_columns(["share_percent", "year"], [value.values, value.years], depth, out)
         return
     outer, inner = "\n" + "  " * depth, "\n" + "  " * (depth + 1)
     types = set(map(type, children))
@@ -129,12 +130,7 @@ def _emit(value, depth: int, out) -> None:
 
 
 def _emit_records(records: list, depth: int, out) -> bool:
-    """Pass a list of flat records with the same str keys to ``out`` as ``_emit`` would.
-
-    Each key's column of values is encoded in one C call with the separator
-    ",\\n": ensure_ascii escapes every newline in a string, so splitting there
-    gives each value's JSON. Returns False, passing nothing, for any other list.
-    """
+    """Pass flat records with the same str keys to ``out`` as ``_emit`` would; else return False."""
     keys = records[0].keys()
     if (not keys or set(map(type, keys)) != {str}
             or not all(map(keys.__eq__, map(dict.keys, records)))):
@@ -143,6 +139,16 @@ def _emit_records(records: list, depth: int, out) -> bool:
     columns = [list(map(itemgetter(key), records)) for key in keys]
     if not set(map(type, chain.from_iterable(columns))) <= _SCALARS:
         return False
+    _emit_columns(keys, columns, depth, out)
+    return True
+
+
+def _emit_columns(keys: list[str], columns: list, depth: int, out) -> None:
+    """Pass the JSON list of the records whose sorted ``keys`` hold these ``columns`` to ``out``.
+
+    Each column is encoded in one C call, separated by ",\\n": ensure_ascii
+    escapes every newline in a string, so splitting there gives each value.
+    """
     encode, inner = _encode_at(-1), "\n" + "  " * (depth + 1)  # encode separates by ",\n"
     parts = []  # per key, the text before each value, then the values; then each end
     for n, (key, column) in enumerate(zip(keys, columns)):
@@ -150,7 +156,6 @@ def _emit_records(records: list, depth: int, out) -> bool:
         parts.append(encode(column)[1:-1].split(",\n"))
     parts.append(repeat(inner + "}"))
     out("[" + inner + ("," + inner).join(map("".join, zip(*parts))) + "\n" + "  " * depth + "]")
-    return True
 
 
 def _json(payload) -> str:
@@ -158,8 +163,8 @@ def _json(payload) -> str:
 
     json encodes in C only without ``indent``, so each container is encoded
     in one C call and laid out by its separators: a flat one whole, a list
-    of flat records a column of values at a time, any other with its
-    container children left to their own calls.
+    of flat records or a ``ShareSeries``'s points a column of values at a
+    time, any other with its container children left to their own calls.
     """
     parts: list[str] = []
     _emit(payload, 0, parts.append)
@@ -199,8 +204,8 @@ def _table_rows(table: Mapping, *prefix: str):
     return (row for key, result in table.items() for row in _field_rows(result, *prefix, key))
 
 
-def _share_rows(points: tuple[MetabolismPoint, ...], *prefix: str):
-    return zip(*map(repeat, prefix), map(str, map(_YEAR, points)), map(repr, map(_SHARE, points)))
+def _share_rows(shares: ShareSeries, *prefix: str):
+    return zip(*map(repeat, prefix), map(str, shares.years), map(repr, shares.values))
 
 
 def _p_text(p: float) -> str:
@@ -282,13 +287,12 @@ def _render_allometric_text(fit: AllometricFit, dependent: str, explanatory: str
     return "\n".join(lines) + "\n"
 
 
-def _render_shares_text(columns: list[tuple[str, tuple[MetabolismPoint, ...]]]) -> str:
+def _render_shares_text(columns: list[tuple[str, ShareSeries]]) -> str:
     """A year column, then a named column of shares per series, as ``_number_text`` to 2 places."""
-    years, texts = ["year", *map(str, map(_YEAR, columns[0][1]))], []
-    for name, points in columns:
-        shares = list(map(_SHARE, points))
-        specs = map((".2f", ".2e").__getitem__, map(ge, map(abs, shares), repeat(1e15)))
-        texts.append([name, *map(format, shares, specs)])
+    years, texts = ["year", *map(str, columns[0][1].years)], []
+    for name, shares in columns:
+        specs = map((".2f", ".2e").__getitem__, map(ge, map(abs, shares.values), repeat(1e15)))
+        texts.append([name, *map(format, shares.values, specs)])
     return _columns(years, *texts) + "\n"
 
 
@@ -330,15 +334,13 @@ def _growth_factor(report: Report, item: str) -> float:
 
 
 def _render_cross_checks(report: Report) -> str:
-    points = report.metabolism_series
-    first, last = points[0], points[-1]
+    years, shares = report.metabolism_series.years, report.metabolism_series.values
     config = report.config
     predicted = _ratio_text(*(_growth_factor(report, item)
                               for item in (config.numerator_item, config.denominator_item)))
     reference = (1.0 + _REFERENCE_CUM_PERSONNEL) / (1.0 + _REFERENCE_CUM_REVENUE)
     lines = [
-        f"  M({last.year})/M({first.year}) = "
-        f"{_ratio_text(last.share_percent, first.share_percent)}",
+        f"  M({years[-1]})/M({years[0]}) = {_ratio_text(shares[-1], shares[0])}",
         f"  (1 + growth of {config.numerator_item})/(1 + growth of {config.denominator_item})"
         f" = {predicted}",
         f"  reference, published CNR cumulative rates 1997-2015:"
@@ -388,10 +390,9 @@ def _metabolism(report: Report, whole: bool):
     if whole:
         columns.append(("other_costs", report.other_costs_share))
     return (lambda: {"numerator": config.numerator_item, "denominator": config.denominator_item,
-                     **{key: list(map(_fields, points))
-                        for key, (_, points) in zip(("points", "other_costs_points"), columns)}},
-            chain.from_iterable(_share_rows(points, *("metabolism", label) * whole)
-                                for label, points in columns),
+                     **dict(zip(("points", "other_costs_points"), map(itemgetter(1), columns)))},
+            chain.from_iterable(_share_rows(shares, *("metabolism", label) * whole)
+                                for label, shares in columns),
             lambda: _render_shares_text(columns))
 
 
@@ -468,7 +469,7 @@ def _figure_rows(report: Report, figure_id: str) -> tuple[list[str], list[list[s
         ]
     if figure_id == "fig4":
         names = ["m_personnel_percent", "m_other_costs_percent"]
-        columns = [share_series(report.metabolism_series), share_series(report.other_costs_share)]
+        columns = [report.metabolism_series, report.other_costs_share]
     else:
         names = {
             "fig2": ["total_revenue", "cost_of_personnel"],
@@ -482,10 +483,8 @@ def _figure_rows(report: Report, figure_id: str) -> tuple[list[str], list[list[s
                 f"unknown figure id '{figure_id}' (expected one of {', '.join(FIGURE_IDS)})"
             )
         columns = [extract_series(report.window, item) for item in names]
-    rows = [
-        [str(year), *(repr(value) for value in values)]
-        for year, *values in zip(columns[0].years, *(c.values for c in columns))
-    ]
+    rows = [[str(year), *map(repr, values)]
+            for year, *values in zip(columns[0].years, *(c.values for c in columns))]
     return ["year", *names], rows
 
 
@@ -500,8 +499,9 @@ def _write_figures(report: Report, figure_ids, output_dir: str | os.PathLike[str
     ``OSError`` the figure files this call put in place are removed and the
     old files renamed back, so the directory is as it was; on success the old
     files are removed. Either way the staging directory then goes, and no
-    file this call did not create is touched, whatever its name. Returns each
-    figure's ``pathlib.Path``.
+    file this call did not create is touched, whatever its name. An error
+    names the output directory or a figure's file, never the staging
+    directory, whose name is random. Returns each figure's ``pathlib.Path``.
     """
     # Here, so that a cold ``report`` imports neither.
     import tempfile
@@ -512,7 +512,10 @@ def _write_figures(report: Report, figure_ids, output_dir: str | os.PathLike[str
         (f"{figure_id}.csv", _csv(*_figure_rows(report, figure_id)))
         for figure_id in dict.fromkeys(figure_ids)
     ]
-    stage = Path(tempfile.mkdtemp(prefix=".ecometab-", dir=output_dir))
+    try:
+        stage = Path(tempfile.mkdtemp(prefix=".ecometab-", dir=output_dir))
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, os.fspath(output_dir)) from exc
     placed: list[str] = []
     set_aside: list[str] = []
     try:
@@ -526,7 +529,8 @@ def _write_figures(report: Report, figure_ids, output_dir: str | os.PathLike[str
                 set_aside.append(name)
             os.replace(stage / name, path)
             placed.append(name)
-    except OSError:
+    except OSError as exc:
+        error = OSError(exc.errno, exc.strerror, os.fspath(output_dir / name))
         for name in placed:
             (output_dir / name).unlink(missing_ok=True)
         for name in set_aside:
@@ -534,7 +538,7 @@ def _write_figures(report: Report, figure_ids, output_dir: str | os.PathLike[str
         for name, _ in staged:
             (stage / name).unlink(missing_ok=True)
         stage.rmdir()
-        raise
+        raise error from exc
     for name in set_aside:
         (stage / f"{name}.bak").unlink()
     stage.rmdir()

@@ -18,6 +18,8 @@ is ignored.
 Parsing is column-at-a-time: the rows are read once, and each column is
 checked and converted whole by C-level built-ins; only a file that fails a
 check is walked row by row, and of all faults the first in file order is raised.
+A ``LedgerSeries`` holds its ``years`` and ``columns``, sorted by year once
+in the parse; its ``FiscalRecord``s are built only when first asked for.
 All types here are immutable after construction and safe to share across
 threads; parsing is single-threaded per stream.
 """
@@ -32,7 +34,7 @@ from dataclasses import dataclass, fields, replace
 from enum import Enum
 from functools import cached_property
 from itertools import compress, repeat
-from operator import add, attrgetter, gt, lt, mul, ne, sub, truediv
+from operator import add, attrgetter, gt, itemgetter, le, lt, mul, ne, sub, truediv
 
 from .errors import DomainError, EmptyPeriodError, MissingDataError, ParseError
 
@@ -142,37 +144,53 @@ class FiscalRecord:
         return getattr(self, name)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class LedgerSeries:
-    """Year-ordered income statements of one organization, one currency."""
+    """Year-ordered income statements of one organization, in one currency, held as columns.
+
+    ``columns`` holds each money item's values in year order, ``None`` where
+    unreported (read only); ``records`` are built from them on first access.
+    """
 
     organization: str
-    records: tuple[FiscalRecord, ...]
+    years: tuple[int, ...]
+    columns: dict[str, tuple[float | None, ...]]
+    currency: Currency
 
-    def __post_init__(self):
-        years = self.years
+    def __init__(self, organization: str, records: tuple[FiscalRecord, ...]):
+        years = tuple(map(attrgetter("year"), records))
         if not all(map(lt, years, years[1:])):
             prev, cur = next((p, c) for p, c in zip(years, years[1:]) if c <= p)
             raise DomainError(f"records must have strictly increasing years "
                               f"({prev} followed by {cur})")
-        currencies = tuple(map(attrgetter("currency"), self.records))
+        currencies = tuple(map(attrgetter("currency"), records))
         if any(map(ne, currencies, currencies[1:])):
             raise DomainError("records mix currencies; normalize before building a series")
+        columns = {name: tuple(map(attrgetter(name), records)) for name in MONEY_ITEMS}
+        vars(self).update(organization=organization, years=years, columns=columns,
+                          currency=currencies[0] if records else Currency.EUR)
+
+    @classmethod
+    def _of_columns(cls, organization, years, columns, currency=Currency.EUR) -> LedgerSeries:
+        """A ledger of columns already checked, its records left to first access."""
+        ledger = object.__new__(cls)
+        vars(ledger).update(organization=organization, years=years, columns=columns,
+                            currency=currency)
+        return ledger
+
+    def __hash__(self) -> int:
+        return hash((self.organization, self.years, *self.columns.values(), self.currency))
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.years)
 
     def __iter__(self) -> Iterator[FiscalRecord]:
         return iter(self.records)
 
     @cached_property
-    def years(self) -> tuple[int, ...]:
-        return tuple(map(attrgetter("year"), self.records))
-
-    @cached_property
-    def columns(self) -> dict[str, tuple[float | None, ...]]:
-        """Each money item's values in record order, ``None`` where unreported; read only."""
-        return {name: tuple(map(attrgetter(name), self.records)) for name in MONEY_ITEMS}
+    def records(self) -> tuple[FiscalRecord, ...]:
+        return tuple(map(FiscalRecord, self.years, repeat(self.currency),
+                         *(self.columns[field.name] for field in fields(FiscalRecord)[2:])))
 
     def window(self, period: tuple[int, int]) -> "LedgerSeries":
         """The records inside an inclusive (first, last) year window; ``self`` if that is all.
@@ -181,12 +199,15 @@ class LedgerSeries:
             EmptyPeriodError: no record falls inside the window.
         """
         start, end = period
-        if self.years and start <= self.years[0] and self.years[-1] <= end:
-            return self
-        records = tuple(r for r in self.records if start <= r.year <= end)
-        if not records:
+        # The window's bounds in ``years``: C-level counts of the years before each.
+        first = sum(map(lt, self.years, repeat(start)))
+        stop = sum(map(le, self.years, repeat(end)))
+        if first >= stop:
             raise EmptyPeriodError(f"no records in period {start}-{end}")
-        return LedgerSeries(self.organization, records)
+        if stop - first == len(self.years):
+            return self
+        columns = {name: column[first:stop] for name, column in self.columns.items()}
+        return self._of_columns(self.organization, self.years[first:stop], columns, self.currency)
 
 
 @dataclass(frozen=True)
@@ -399,26 +420,20 @@ def parse_ledger(
             or len(set(years)) < len(years) or not _DIVISORS.keys() >= set(codes)
             or None in amounts.values()):
         _raise_first_fault(columns, row_numbers, stop)
-    # Freed first: each garbage collection the records trigger would scan every cell.
-    del cells_read, columns
-
-    absent = repeat(None)
-    records = list(map(FiscalRecord, years, repeat(Currency.EUR),
-                       *(amounts.get(field.name, absent) for field in fields(FiscalRecord)[2:])))
-    records.sort(key=attrgetter("year"))
-    return LedgerSeries(organization, tuple(records))
+    columns = {name: amounts.get(name) or (None,) * len(years) for name in MONEY_ITEMS}
+    if not all(map(lt, years, years[1:])):  # sorted by year, only when out of order
+        pick = itemgetter(*sorted(range(len(years)), key=years.__getitem__))
+        years, columns = pick(years), {name: pick(column) for name, column in columns.items()}
+    return LedgerSeries._of_columns(organization, tuple(years), columns)
 
 
 def write_ledger(ledger: LedgerSeries, stream: io.TextIOBase, delimiter: str = ",") -> None:
     """Write a ledger in the canonical input format (round-trips exactly)."""
     writer = csv.writer(stream, delimiter=delimiter, lineterminator="\n")
     writer.writerow(COLUMNS)
-    for record in ledger.records:
-        row: list[str] = [str(record.year), record.currency.value]
-        for name in MONEY_ITEMS:
-            value = record.item(name)
-            row.append("" if value is None else repr(value))
-        writer.writerow(row)
+    amounts = [["" if value is None else repr(value) for value in ledger.columns[name]]
+               for name in MONEY_ITEMS]
+    writer.writerows(zip(map(str, ledger.years), repeat(ledger.currency.value), *amounts))
 
 
 def extract_series(ledger: LedgerSeries, item: str) -> Series:
@@ -428,14 +443,12 @@ def extract_series(ledger: LedgerSeries, item: str) -> Series:
     """
     if item not in _MONEY_ITEM_SET:
         raise DomainError(f"unknown item {item!r}")
-    if not ledger.records:
+    if not ledger.years:
         raise EmptyPeriodError("no records in period")
     values = ledger.columns[item]
     if None in values:
         missing = [year for year, value in zip(ledger.years, values) if value is None]
-        raise MissingDataError(
-            f"'{item}' not reported for years: {', '.join(str(y) for y in missing)}"
-        )
+        raise MissingDataError(f"'{item}' not reported for years: {', '.join(map(str, missing))}")
     return Series(ledger.years, values)
 
 

@@ -18,7 +18,7 @@ All functions are pure and safe to call concurrently.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from enum import Enum
 from itertools import compress, repeat
@@ -44,6 +44,18 @@ class MetabolismPoint:
 
     year: int
     share_percent: float
+
+
+class ShareSeries(Series):
+    """Yearly shares in percent: a ``Series`` that indexes and iterates as ``MetabolismPoint``s."""
+
+    def __iter__(self) -> Iterator[MetabolismPoint]:
+        return map(MetabolismPoint, self.years, self.values)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(map(MetabolismPoint, self.years[index], self.values[index]))
+        return MetabolismPoint(self.years[index], self.values[index])
 
 
 @dataclass(frozen=True)
@@ -115,7 +127,7 @@ def metabolism_index(
     ledger: LedgerSeries,
     numerator: str = "cost_of_personnel",
     denominator: str = "total_revenue",
-) -> tuple[MetabolismPoint, ...]:
+) -> ShareSeries:
     """Yearly share of ``numerator`` over ``denominator``, in percent.
 
     Raises:
@@ -124,15 +136,15 @@ def metabolism_index(
     """
     num = extract_series(ledger, numerator)
     den = extract_series(ledger, denominator)
-    points = []
+    shares = []
     for year, n_value, d_value in zip(num.years, num.values, den.values):
         if d_value <= 0:
             raise DomainError(f"{denominator} is not positive in {year}")
         share = 100.0 * n_value / d_value
         if not math.isfinite(share):
             raise DomainError(f"share of {numerator} in {denominator} is not finite in {year}")
-        points.append(MetabolismPoint(year, share))
-    return tuple(points)
+        shares.append(share)
+    return ShareSeries(num.years, tuple(shares))
 
 
 def arithmetic_growth(series: Series, start: int, end: int) -> GrowthRate:
@@ -257,7 +269,7 @@ def crossover_years(a: Series, b: Series) -> tuple[Crossing, ...]:
 
 def mean_cost_profile(ledger: LedgerSeries) -> CostProfile:
     """Descriptives of every cost item reported in all of the ledger's records."""
-    if not ledger.records:
+    if not ledger.years:
         raise InsufficientDataError("no records in the requested period")
     by_item: dict[str, Descriptives] = {}
     omitted: list[str] = []

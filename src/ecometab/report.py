@@ -12,12 +12,10 @@ import os
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
-from operator import attrgetter
 
 from .errors import DomainError, EcometabError
 from .ledger import (
     LedgerSeries,
-    Series,
     ValidationFinding,
     extract_series,
     parse_ledger,
@@ -28,7 +26,7 @@ from .metabolism import (
     CostProfile,
     Crossing,
     GrowthRate,
-    MetabolismPoint,
+    ShareSeries,
     allometric_fit,
     arithmetic_growth,
     crossover_years,
@@ -110,19 +108,18 @@ class Report:
                     self.config.denominator_item, alpha=self.config.alpha)
 
     @cached_property
-    def metabolism_series(self) -> tuple[MetabolismPoint, ...]:
+    def metabolism_series(self) -> ShareSeries:
         return step("metabolism", metabolism_index, self.window, self.config.numerator_item,
                     self.config.denominator_item)
 
     @cached_property
-    def other_costs_share(self) -> tuple[MetabolismPoint, ...]:
+    def other_costs_share(self) -> ShareSeries:
         return step("metabolism[other_costs]", metabolism_index, self.window, "other_costs",
                     self.config.denominator_item)
 
     @cached_property
     def crossings(self) -> tuple[Crossing, ...]:
-        shares = share_series(self.metabolism_series), share_series(self.other_costs_share)
-        return step("crossover", crossover_years, *shares)
+        return step("crossover", crossover_years, self.metabolism_series, self.other_costs_share)
 
     @cached_property
     def mean_costs(self) -> CostProfile:
@@ -147,19 +144,14 @@ def _stem(path: str | os.PathLike[str]) -> str:
 def load_ledger(config: ReportConfig) -> LedgerSeries:
     """Parse the configured file; the organization is named after the file's stem."""
     with open(config.input_path, encoding="utf-8", newline="") as stream:
-        return parse_ledger(
-            stream, organization=_stem(config.input_path), delimiter=config.delimiter
-        )
+        return parse_ledger(stream, organization=_stem(config.input_path),
+                            delimiter=config.delimiter)
 
 
 def growth_over(ledger: LedgerSeries, item: str) -> GrowthRate:
     """Arithmetic growth of ``item`` from the ledger's first year to its last."""
     series = extract_series(ledger, item)
     return arithmetic_growth(series, series.years[0], series.years[-1])
-
-
-def share_series(points: tuple[MetabolismPoint, ...]) -> Series:
-    return Series(*(tuple(map(attrgetter(name), points)) for name in ("year", "share_percent")))
 
 
 def run_report(config: ReportConfig) -> Report:

@@ -731,3 +731,25 @@ class TestHostileInputOnTheCommandLine:
         # no columns; parse_ledger refuses them before csv sees them.
         result = run_cli("report", "--input", str(ledger_file), "--delimiter", delimiter)
         self.assert_one_error_line(result, "unusable delimiter")
+
+
+@pytest.mark.parametrize("out_dir, error", [
+    ("missing_dir", "[Errno 2] No such file or directory: 'missing_dir'"),
+    ("afile", "[Errno 20] Not a directory: 'afile'"),
+    ("blocked", "[Errno 21] Is a directory: 'blocked/fig3.csv'"),
+])
+def test_figures_errors_name_the_output_path_the_same_every_run(ledger_file, tmp_path,
+                                                                monkeypatch, capsys,
+                                                                out_dir, error):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "afile").write_text("occupied")
+    (tmp_path / "blocked" / "fig3.csv").mkdir(parents=True)  # blocks the third rename
+    errors = []
+    for _ in range(2):
+        assert main(["figures", "--input", str(ledger_file), "--out-dir", out_dir]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        errors.append(err)
+    assert errors == [f"error: {error}\n"] * 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "blocked", "ledger.csv"]
+    assert [p.name for p in (tmp_path / "blocked").iterdir()] == ["fig3.csv"]
