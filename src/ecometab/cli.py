@@ -102,11 +102,8 @@ def _emit(value, depth: int, out) -> None:
         _emit_columns(["share_percent", "year"], [value.values, value.years], depth, out)
         return
     outer, inner = "\n" + "  " * depth, "\n" + "  " * (depth + 1)
-    types = set(map(type, children))
-    if brackets == "[]" and types == {dict} and _emit_records(children, depth, out):
-        return
     out(brackets[0] + inner)
-    if types <= _SCALARS:
+    if set(map(type, children)) <= _SCALARS:
         out(_encode_at(depth)(value)[1:-1])
     else:
         # One C call encodes every key and scalar child, a 0 standing in for
@@ -129,25 +126,10 @@ def _emit(value, depth: int, out) -> None:
     out(outer + brackets[1])
 
 
-def _emit_records(records: list, depth: int, out) -> bool:
-    """Pass flat records with the same str keys to ``out`` as ``_emit`` would; else return False."""
-    keys = records[0].keys()
-    if (not keys or set(map(type, keys)) != {str}
-            or not all(map(keys.__eq__, map(dict.keys, records)))):
-        return False
-    keys = sorted(keys)  # json's order with sort_keys
-    columns = [list(map(itemgetter(key), records)) for key in keys]
-    if not set(map(type, chain.from_iterable(columns))) <= _SCALARS:
-        return False
-    _emit_columns(keys, columns, depth, out)
-    return True
-
-
 def _emit_columns(keys: list[str], columns: list, depth: int, out) -> None:
     """Pass the JSON list of the records whose sorted ``keys`` hold these ``columns`` to ``out``.
 
-    Each column is encoded in one C call, separated by ",\\n": ensure_ascii
-    escapes every newline in a string, so splitting there gives each value.
+    Each column of numbers is encoded in one C call and split at its ",\\n"s.
     """
     encode, inner = _encode_at(-1), "\n" + "  " * (depth + 1)  # encode separates by ",\n"
     parts = []  # per key, the text before each value, then the values; then each end
@@ -162,9 +144,9 @@ def _json(payload) -> str:
     """``json.dumps(payload, sort_keys=True, indent=2)`` plus a newline, byte for byte.
 
     json encodes in C only without ``indent``, so each container is encoded
-    in one C call and laid out by its separators: a flat one whole, a list
-    of flat records or a ``ShareSeries``'s points a column of values at a
-    time, any other with its container children left to their own calls.
+    in C calls and laid out by their separators: a flat one in one call, any
+    other as one call's shell with each container child in its own calls,
+    and a ``ShareSeries``'s points a column of values at a time.
     """
     parts: list[str] = []
     _emit(payload, 0, parts.append)

@@ -58,8 +58,6 @@ class ReportConfig:
             )
         if not 0.0 < self.alpha < 1.0:
             raise DomainError("alpha must be in (0, 1)")
-        if len(self.delimiter) != 1:
-            raise DomainError(f"delimiter must be one character, got {self.delimiter!r}")
 
 
 # The report's sections in report order: ``run_report`` reads them in this

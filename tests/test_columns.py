@@ -21,7 +21,7 @@ from ecometab.cli import render_report_text, report_to_csv, report_to_json
 from ecometab.errors import EmptyPeriodError
 from ecometab.ledger import COLUMNS, MONEY_ITEMS, LedgerSeries, Series, parse_ledger
 from ecometab.metabolism import MetabolismPoint, ShareSeries, crossover_years, metabolism_index
-from ecometab.report import ReportConfig, run_report
+from ecometab.report import Report, ReportConfig, run_report
 from helpers import VARIANT_KINDS, random_ledger, variant_ledger, write_ledger_file
 
 
@@ -74,6 +74,19 @@ def test_parsed_and_hand_built_ledgers_agree(seed, kind, n_years, first_year, or
         expected = (_contents(LedgerSeries(built.organization, inside)) if inside
                     else ("error", f"no records in period {period[0]}-{period[1]}"))
         assert _window(parsed, period) == _window(again, period) == expected
+
+
+def test_parsed_and_hand_built_ledgers_hash_equal(tmp_path):
+    built = variant_ledger(6, "blank")
+    parsed = parse_ledger(io.StringIO(_shuffled_text(built.records, 1)), built.organization)
+    again = LedgerSeries(built.organization, built.records)
+    assert hash(parsed) == hash(again) == hash(built)
+    assert len({parsed, again, built}) == 1
+    inside = tuple(r for r in built.records if 2000 <= r.year <= 2010)
+    assert hash(parsed.window((2000, 2010))) == hash(LedgerSeries(built.organization, inside))
+    report = run_report(ReportConfig(input_path=write_ledger_file(tmp_path / "l.csv", built)))
+    assert hash(report) == hash(Report(report.ledger, report.config))
+    assert {report: 1}[Report(report.ledger, report.config)] == 1
 
 
 def test_a_window_covering_every_year_is_the_ledger_itself():
