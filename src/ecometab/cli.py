@@ -235,7 +235,7 @@ def render_table(fits: Mapping[str, RegressionFit]) -> str:
             _coef_text(fit.slope, fit.se_slope, fit.p_slope),
             f"{fit.standardized_slope:.2f}",
             f"{fit.r_squared:.2f}",
-            f"{fit.f_statistic:.2f} ({_p_text(fit.p_f)})",
+            f"{_number_text(fit.f_statistic, 2)} ({_p_text(fit.p_f)})",
         ))
     return _columns(*zip(*rows)) + "\n"
 
@@ -262,7 +262,7 @@ def _render_allometric_text(fit: AllometricFit, dependent: str, explanatory: str
         f"  log prefactor (se): {_coef_text(fit.log_prefactor, fit.se_log_prefactor, lna_p)}",
         f"  exponent (se):      {_coef_text(fit.exponent, fit.se_exponent, fit.p_exponent)}",
         f"  std.coef {std_coef:.2f}   R2 {fit.r_squared:.2f}   "
-        f"F {fit.f_statistic:.2f} ({_p_text(fit.p_exponent)})",
+        f"F {_number_text(fit.f_statistic, 2)} ({_p_text(fit.p_exponent)})",
         f"  classification: {fit.classification.value} (alpha = {fit.test_alpha:g})"
         + ("  [exact fit]" if fit.exact_fit else ""),
     ]

@@ -14,10 +14,17 @@ and a 2-row one, each over the default window and windows inside,
 straddling and outside the data, with ``figures`` selections; a second
 alpha and other item flags; a 300-row ledger with many crossings and
 findings; and the failure paths: faulty files, bad flags, bad delimiters
-and out dirs that refuse the figures.
+and out dirs that refuse the figures. Appended since: an out dir with
+trailing slashes, the allometric CSV at the ends of alpha's range, a
+near-exact ledger whose F statistics pass 1e15, and a 2000-row ledger over
+its whole span.
 
-Check the file: ``PYTHONPATH=src python tests/grid.py``. After a change of
-output made on purpose, rewrite it: ``PYTHONPATH=src python tests/grid.py --write``.
+Check the file: ``PYTHONPATH=src python tests/grid.py``; the check runs on
+whichever ``ecometab`` is importable, an installed copy without
+``PYTHONPATH``, and its last line names that copy. After a change of output
+made on purpose, rewrite it: ``PYTHONPATH=src python tests/grid.py --write``.
+A new case goes at the end of ``cases()``, so no older line of the file
+changes.
 """
 
 import contextlib
@@ -32,12 +39,14 @@ import tempfile
 from dataclasses import replace
 from pathlib import Path
 
+import ecometab
 from ecometab.cli import main
 from helpers import (
     ledger_of,
     lira_text,
     power_law_ledger,
     random_ledger,
+    record,
     variant_ledger,
     write_ledger_file,
 )
@@ -79,6 +88,17 @@ def _write_ledgers(folder: Path) -> None:
         records[i] = replace(records[i], salary=records[i].salary * 1.02)
         del records[i - 3]
     write_ledger_file(folder / "long.csv", ledger_of(records))
+    # Revenue a line in the year and personnel a power of revenue, each to 1e-12.
+    near_exact = []
+    for i in range(19):
+        revenue = 200.0 * (1 + 0.08 * i) * (1 + 1e-12 * (-1) ** i)
+        personnel = 0.02 * revenue**1.61 * (1 + 1e-12 * (-1) ** (i // 2))
+        near_exact.append(record(1997 + i, revenue=revenue, personnel=personnel,
+                                 total_cost=personnel + 0.4 * revenue,
+                                 other_costs=0.4 * revenue))
+    write_ledger_file(folder / "near_exact.csv", ledger_of(near_exact))
+    write_ledger_file(folder / "stress.csv",
+                      variant_ledger(3, "mismatch", n_years=2000, first_year=1))
     write_ledger_file(folder / "tiny_revenue.csv", ledger_of(
         replace(r, total_revenue=1e-300) if r.year == 1997 else r for r in random_ledger(21)))
     text = lira_text(random_ledger(21))
@@ -174,6 +194,16 @@ def cases():
         yield _figure_run("plain", (), out_dir=out_dir)
     yield _figure_run("plain", (), selection=("fig1", "fig2", "fig3"), out_dir="restore")
     yield _figure_run("plain", (), selection=("fig1",), out_dir="stale")
+    yield _figure_run("plain", (), out_dir="out//")
+    for alpha in ("5e-324", "0.999999"):
+        yield ["allometric", *plain, "--alpha", alpha, "--format", "csv"]
+    for output_format in FORMATS:
+        yield ["report", "--input", "ledgers/near_exact.csv", "--format", output_format]
+    stress = ("--input", "ledgers/stress.csv", "--from", "1", "--to", "2000")
+    for output_format in FORMATS:
+        yield ["report", *stress, "--format", output_format]
+    yield ["metabolism", *stress, "--format", "json"]
+    yield ["crossover", *stress, "--format", "csv"]
 
 
 def _tree(path: str) -> list:
@@ -247,5 +277,6 @@ if __name__ == "__main__":
         print(f"wrote {len(actual)} cases to {GOLDEN}")
     else:
         changed = changed_cases(actual, read_golden())
-        print("\n".join(changed) or f"all {len(actual)} cases as in {GOLDEN}")
+        print("\n".join(changed)
+              or f"all {len(actual)} cases of {ecometab.__file__} as in {GOLDEN}")
         sys.exit(bool(changed))

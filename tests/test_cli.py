@@ -25,6 +25,7 @@ from ecometab.cli import (
 )
 from ecometab.errors import DomainError, EcometabError
 from ecometab.ledger import Series
+from ecometab.metabolism import allometric_fit
 from ecometab.report import SECTIONS, load_ledger
 from ecometab.stats import RegressionFit, ols_fit
 from helpers import (
@@ -135,6 +136,18 @@ class TestRenderTable:
         text = render_table({"item_a": fit})
         slope_cell = text.splitlines()[1]
         assert "*" not in slope_cell
+
+    @pytest.mark.parametrize("f_statistic, text", [
+        (36.456, "36.46"), (4.6e23, "4.60e+23"), (math.inf, "inf"),
+    ])
+    def test_f_takes_exponent_form_from_1e15(self, f_statistic, text):
+        trend = dataclasses.replace(self.fit_with_p(0.0004), f_statistic=f_statistic)
+        line = render_table({"item_a": trend}).splitlines()[1]
+        assert line.endswith(f"  {text} ({cli._p_text(trend.p_f)})")
+        # The allometric text prints its F by the same rule.
+        fit = dataclasses.replace(allometric_fit(random_ledger(seed=21)), f_statistic=f_statistic)
+        allometric = cli._render_allometric_text(fit, "cost_of_personnel", "total_revenue")
+        assert f"   F {text} ({cli._p_text(fit.p_exponent)})\n" in allometric
 
 
 class TestReportJson:

@@ -132,6 +132,16 @@ class TestOlsFit:
             )
             assert fit.p_f == pytest.approx(fit.p_slope, rel=1e-8)
 
+    def test_r_squared_is_f_over_f_plus_residual_df(self):
+        # Simple OLS ties R2 to F exactly: R2 = F / (F + n - 2).
+        rng = random.Random(8)
+        for _ in range(200):
+            n = rng.randrange(3, 60)
+            values = noisy_dataset(rng.random(), n=n, slope=rng.uniform(-1e7, 1e7))
+            fit = ols_fit(*year_series(1997, values))
+            f = fit.f_statistic
+            assert fit.r_squared == pytest.approx(f / (f + n - 2), rel=1e-9, abs=0)
+
     def test_f_tail_is_the_t_tail_on_seeded_data(self):
         for seed in range(25):
             x, y = year_series(1997, noisy_dataset(seed=seed))
