@@ -160,11 +160,10 @@ def _csv(header: list[str], *blocks) -> str:
     writer = csv.writer(buffer, lineterminator="\n")
     for rows in ([header], *blocks):
         rows = list(rows)
-        cells = list(chain.from_iterable(rows))
+        text = "".join(chain.from_iterable(rows))
         # The writer quotes a cell holding the delimiter, the quote or a line break, and
         # an empty lone cell; before 3.11 it refuses a NUL. Without these, it joins them.
-        if (set(map(type, cells)) <= {str} and min(map(len, rows), default=2) > 1
-                and not any(char in "".join(cells) for char in ',"\r\n\0')):
+        if min(map(len, rows), default=2) > 1 and not any(c in text for c in ',"\r\n\0'):
             buffer.write("\n".join([*map(",".join, rows), ""]))
         else:
             writer.writerows(rows)
@@ -381,7 +380,8 @@ def _metabolism(report: Report, whole: bool):
 def _crossings(report: Report, whole: bool):
     crossings = report.crossings
     rows = ((["crossings", f"{c.start_year}-{c.end_year}", "crossing_year"] if whole
-             else [c.start_year, c.end_year]) + [repr(c.crossing_year)] for c in crossings)
+             else [str(c.start_year), str(c.end_year)]) + [repr(c.crossing_year)]
+            for c in crossings)
     return lambda: list(map(_fields, crossings)), rows, lambda: _render_crossings_text(crossings)
 
 
@@ -633,6 +633,8 @@ def main(argv: list[str] | None = None) -> int:
             delimiter=args.delimiter,
             trend_items=tuple(getattr(args, "items", None) or TREND_ITEMS),
         )
+        if hasattr(sys.stdout, "reconfigure"):  # a file name's non-UTF-8 bytes print as given
+            sys.stdout.reconfigure(errors="surrogateescape")
         sys.stdout.write(_run_command(args.command, config, args))
         return 0
     except (EcometabError, OSError) as exc:

@@ -262,39 +262,6 @@ def normalize_ledger(ledger: LedgerSeries) -> LedgerSeries:
     return LedgerSeries(ledger.organization, tuple(normalize_currency(r) for r in ledger.records))
 
 
-def _parse_number(cell: str, row: int, column: str, nonnegative: bool) -> float | None:
-    if not cell:
-        return None
-    # float() also takes "1_000" and non-ASCII digits; the file format does not.
-    if not cell.isascii() or "_" in cell:
-        raise ParseError(f"malformed number {cell!r}", row=row, column=column)
-    try:
-        value = float(cell)
-    except ValueError:
-        raise ParseError(f"malformed number {cell!r}", row=row, column=column) from None
-    if not math.isfinite(value):
-        raise ParseError(f"non-finite number {cell!r}", row=row, column=column)
-    if nonnegative and value < 0:
-        raise ParseError(f"negative value {value!r}", row=row, column=column)
-    return value
-
-
-def _parse_year(cell: str, row: int) -> int:
-    # int() also takes "1_997" and non-ASCII digits; the file format does not.
-    if cell.isascii() and "_" not in cell:
-        try:
-            year = int(cell)
-        except ValueError:
-            pass
-        else:
-            if _MIN_YEAR <= year <= _MAX_YEAR:
-                return year
-            raise ParseError(
-                f"year {cell!r} outside {_MIN_YEAR}-{_MAX_YEAR}", row=row, column="year"
-            )
-    raise ParseError(f"malformed year {cell!r}", row=row, column="year")
-
-
 def _converted(cells, convert) -> list | None:
     """``convert`` of every cell; ``None`` if one is not ASCII, holds a ``_`` or fails."""
     joined = "".join(cells)
@@ -322,13 +289,23 @@ def _amounts(cells: list[str], nonnegative: bool, divisors: list[float]) -> tupl
 
 def _raise_first_fault(columns: dict[str, list[str]], rows: list[int],
                        stop: ParseError | None) -> None:
-    """Raise the fault a row-by-row parse meets first; ``stop`` if no row read is at fault."""
+    """Raise the fault a row-by-row parse meets first; ``stop`` if no row read is at fault.
+
+    Each cell converts through ``_converted``, as its column did.
+    """
     seen: set[int] = set()
     for i, row in enumerate(rows):
         for name in REQUIRED_COLUMNS:
             if not columns[name][i]:
                 raise ParseError("missing required value", row=row, column=name)
-        year = _parse_year(columns["year"][i], row)
+        cell = columns["year"][i]
+        [year] = _converted([cell], int) or [None]
+        if year is None:
+            raise ParseError(f"malformed year {cell!r}", row=row, column="year")
+        if not _MIN_YEAR <= year <= _MAX_YEAR:
+            raise ParseError(
+                f"year {cell!r} outside {_MIN_YEAR}-{_MAX_YEAR}", row=row, column="year"
+            )
         if year in seen:
             raise ParseError(f"duplicate year {year}", row=row, column="year")
         seen.add(year)
@@ -336,8 +313,16 @@ def _raise_first_fault(columns: dict[str, list[str]], rows: list[int],
         if code not in _DIVISORS:
             raise ParseError(f"unknown currency code {code!r}", row=row, column="currency")
         for name in MONEY_ITEMS:
-            if name in columns:
-                _parse_number(columns[name][i], row, name, name in NONNEGATIVE_ITEMS)
+            cell = columns[name][i] if name in columns else ""
+            if not cell:  # not reported
+                continue
+            [value] = _converted([cell], float) or [None]
+            if value is None:
+                raise ParseError(f"malformed number {cell!r}", row=row, column=name)
+            if not math.isfinite(value):
+                raise ParseError(f"non-finite number {cell!r}", row=row, column=name)
+            if value < 0 and name in NONNEGATIVE_ITEMS:
+                raise ParseError(f"negative value {value!r}", row=row, column=name)
     raise stop or AssertionError("a file that failed its column checks is at fault in no row")
 
 

@@ -16,8 +16,10 @@ alpha and other item flags; a 300-row ledger with many crossings and
 findings; and the failure paths: faulty files, bad flags, bad delimiters
 and out dirs that refuse the figures. Appended since: an out dir with
 trailing slashes, the allometric CSV at the ends of alpha's range, a
-near-exact ledger whose F statistics pass 1e15, and a 2000-row ledger over
-its whole span.
+near-exact ledger whose F statistics pass 1e15, a 2000-row ledger over
+its whole span, and four ledgers for the fit branches no other reaches: a
+degenerate trend, an exact-fit trend, an exponent below one and a crossing
+at a touch point.
 
 Check the file: ``PYTHONPATH=src python tests/grid.py``; the check runs on
 whichever ``ecometab`` is importable, an installed copy without
@@ -99,6 +101,8 @@ def _write_ledgers(folder: Path) -> None:
     write_ledger_file(folder / "near_exact.csv", ledger_of(near_exact))
     write_ledger_file(folder / "stress.csv",
                       variant_ledger(3, "mismatch", n_years=2000, first_year=1))
+    for name, ledger in _fit_branch_ledgers().items():
+        write_ledger_file(folder / f"{name}.csv", ledger)
     write_ledger_file(folder / "tiny_revenue.csv", ledger_of(
         replace(r, total_revenue=1e-300) if r.year == 1997 else r for r in random_ledger(21)))
     text = lira_text(random_ledger(21))
@@ -118,6 +122,34 @@ def _write_ledgers(folder: Path) -> None:
     for name, content in faulty.items():
         (folder / f"{name}.csv").write_text(content, encoding="utf-8")
     (folder / "not_utf8.csv").write_bytes(text.encode() + b"2016,EUR,\xff\n")
+
+
+def _fit_branch_ledgers() -> dict:
+    """1997-2015 ledgers, each for a branch of the fits no other grid ledger reaches.
+
+    Their amounts are whole numbers or products of float multiplications,
+    so no ledger depends on the platform's ``pow``.
+    """
+    levels = [(2000.0 + 100 * i + 10 * (i * i % 7), 800.0 + 30 * i + 4 * (i * 5 % 11),
+               300.0 + 9 * (i * 3 % 13)) for i in range(19)]
+    # A constant total cost, whose mean is exact: a degenerate trend.
+    ledgers = {"constant_cost": [(r, p, 1000.0, o) for r, p, o in levels]}
+    # Revenue a line in the year: an exact-fit trend.
+    ledgers["linear_revenue"] = [(1000.0 + 50 * i, p, p + o, o)
+                                 for i, (_, p, o) in enumerate(levels)]
+    # Personnel growing by 2% a year against revenue's 8%: exponent about 0.26.
+    revenue, personnel, slow = 1000.0, 400.0, []
+    for _, _, other in levels:
+        slow.append((revenue, personnel, personnel + other, other))
+        revenue, personnel = revenue * 1.08, personnel * 1.02
+    ledgers["slow_personnel"] = slow
+    # Other costs equal to personnel in 2006, below it before and above it after.
+    ledgers["touch"] = [(r, p, p + p + 60 * (i - 9), p + 60 * (i - 9))
+                        for i, (r, p, _) in enumerate(levels)]
+    return {name: ledger_of(record(1997 + i, revenue=revenue, personnel=personnel,
+                                   total_cost=total_cost, other_costs=other)
+                            for i, (revenue, personnel, total_cost, other) in enumerate(rows))
+            for name, rows in ledgers.items()}
 
 
 def _set_up_out_dir(name: str) -> None:
@@ -204,6 +236,11 @@ def cases():
         yield ["report", *stress, "--format", output_format]
     yield ["metabolism", *stress, "--format", "json"]
     yield ["crossover", *stress, "--format", "csv"]
+    for ledger in _fit_branch_ledgers():
+        for output_format in FORMATS:
+            yield ["report", "--input", f"ledgers/{ledger}.csv", "--format", output_format]
+        for command in ("trend", "allometric", "crossover"):
+            yield [command, "--input", f"ledgers/{ledger}.csv", "--format", "text"]
 
 
 def _tree(path: str) -> list:

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import io
 import json
 import math
 import os
@@ -504,6 +505,26 @@ class TestCommandLine:
         assert main(argv + ["--figure", "fig2", "--figure", "fig1", "--figure", "fig2"]) == 0
         assert capsys.readouterr().out == f"{out_dir / 'fig2.csv'}\n{out_dir / 'fig1.csv'}\n"
         assert sorted(p.name for p in out_dir.iterdir()) == ["fig1.csv", "fig2.csv"]
+
+    @pytest.mark.parametrize("command", ["report", "figures"])
+    def test_a_file_name_that_is_not_utf8_prints_as_its_bytes(self, tmp_path, monkeypatch,
+                                                               command):
+        # The OS's bytes 0xff and 0xfe reach Python as surrogates, which a
+        # UTF-8 locale's strict stdout refuses to encode.
+        name, out_dir = os.fsdecode(b"l\xffx.csv"), os.fsdecode(b"o\xfe")
+        monkeypatch.chdir(tmp_path)
+        write_ledger_file(name, random_ledger(seed=21))
+        os.mkdir(out_dir)
+        stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", errors="strict")
+        monkeypatch.setattr(sys, "stdout", stdout)
+        argv = [command, "--input", name] + ["--out-dir", out_dir] * (command == "figures")
+        assert main(argv) == 0
+        stdout.flush()
+        if command == "report":
+            assert stdout.buffer.getvalue().startswith(b"Ledger: l\xffx (19 records, ")
+        else:
+            assert stdout.buffer.getvalue() == b"".join(
+                b"o\xfe/%s.csv\n" % figure_id.encode() for figure_id in FIGURE_IDS)
 
     def test_period_flags(self, ledger_file):
         result = run_cli("metabolism", "--input", str(ledger_file),

@@ -4,7 +4,7 @@ import math
 from dataclasses import fields
 
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from ecometab.errors import (
@@ -240,6 +240,10 @@ def _valid_cell(column):
     return _amount.map(repr)
 
 
+# The first st.text draw of a session builds Hypothesis's Unicode table, in
+# 1.2-1.4 s on a shared 2-CPU machine. When this file runs alone on a fresh
+# checkout, that draw is this test's, which then failed its too_slow check.
+@settings(suppress_health_check=[HealthCheck.too_slow])
 @given(st.data())
 def test_near_valid_text_gives_a_ledger_or_a_parse_error(data):
     """Well-formed ledgers with an odd column, cell or row length here and there."""
